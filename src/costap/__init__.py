@@ -1,6 +1,8 @@
 """Joint radar receive-filter and waveform co-design by alternating
 minimization, with four equivalent waveform-stage solvers."""
 
+from types import ModuleType as _ModuleType
+
 from .am_driver import (
     SOLVERS,
     IterateRecord,
@@ -26,7 +28,6 @@ from .errors import (
     SingularHessian,
     ValidationError,
     ZeroSteering,
-    ZeroVector,
     ZeroWaveform,
 )
 from .harness_cli import (
@@ -42,7 +43,7 @@ from .harness_cli import (
     run_comparison,
     scenario_from_dict,
 )
-from .matrix_ops import bisect_root, hermitian_sqrt, kron, pseudo_inverse, vector_projector
+from .matrix_ops import bisect_root, hermitian_sqrt
 from .radar_model import (
     ClutterSpec,
     CovarianceBundle,
@@ -77,72 +78,6 @@ from .waveform_solvers import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SOLVERS",
-    "IterateRecord",
-    "IterateTrace",
-    "RunReport",
-    "constraint_set_drift",
-    "draw_waveform",
-    "full_objective",
-    "functional_relation_check",
-    "hull_diameter",
-    "initial_waveform",
-    "run",
-    "CostapError",
-    "Infeasible",
-    "NoSignChange",
-    "NotHermitian",
-    "NotPSD",
-    "NumericalFailure",
-    "ParseError",
-    "SingularCovariance",
-    "SingularHessian",
-    "ValidationError",
-    "ZeroSteering",
-    "ZeroVector",
-    "ZeroWaveform",
-    "ComparisonTable",
-    "ExperimentSpec",
-    "TableRow",
-    "default_scenario_path",
-    "emit_table",
-    "emit_trace",
-    "load_scenario",
-    "main",
-    "read_trace",
-    "run_comparison",
-    "scenario_from_dict",
-    "bisect_root",
-    "hermitian_sqrt",
-    "kron",
-    "pseudo_inverse",
-    "vector_projector",
-    "ClutterSpec",
-    "CovarianceBundle",
-    "InterfererSpec",
-    "ScenarioConfig",
-    "TargetSpec",
-    "build_bundle",
-    "build_clutter_operators",
-    "build_interference_cov",
-    "build_noise_cov",
-    "build_target_map",
-    "clutter_cov",
-    "doppler_steering",
-    "spatial_steering",
-    "total_cov",
-    "waveform_hessian",
-    "mvdr_update",
-    "DualCertificate",
-    "WaveformProblem",
-    "WaveformSolution",
-    "align_phase",
-    "cls_solve",
-    "direct_update",
-    "qcqp_solve",
-    "scale_solution",
-    "sdp_certificate",
-    "sdp_dual_solve",
-    "secular_residual",
-]
+# Every public name imported above; the submodules themselves are not exported.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

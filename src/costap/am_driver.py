@@ -23,6 +23,8 @@ from .radar_model import CovarianceBundle, ScenarioConfig, build_bundle, total_c
 from .receiver import mvdr_update
 from .waveform_solvers import (
     WaveformSolution,
+    _feasible_radius2,
+    _steering_vector,
     cls_solve,
     direct_update,
     qcqp_solve,
@@ -301,10 +303,10 @@ def constraint_set_drift(y_prev, y_curr, kappa: float, power_bound: float,
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    y1, n1 = _unit_checked(y_prev)
-    y2, n2 = _unit_checked(y_curr)
-    r1 = np.sqrt(_radius2(power_bound, kappa, n1))
-    r2 = np.sqrt(_radius2(power_bound, kappa, n2))
+    y1, n1 = _steering_vector(y_prev)
+    y2, n2 = _steering_vector(y_curr)
+    r1 = np.sqrt(_feasible_radius2(power_bound, kappa, n1))
+    r2 = np.sqrt(_feasible_radius2(power_bound, kappa, n2))
     c1 = (kappa / n1) * y1
     c2 = (kappa / n2) * y2
     rng = np.random.default_rng(_DRIFT_RNG_SEED)
@@ -322,21 +324,6 @@ def constraint_set_drift(y_prev, y_curr, kappa: float, power_bound: float,
     d12 = np.linalg.norm(p1 - _closest_in_set(p1, y2, c2, r2), axis=1)
     d21 = np.linalg.norm(p2 - _closest_in_set(p2, y1, c1, r1), axis=1)
     return float(max(d12.max(), d21.max()))
-
-
-def _unit_checked(y) -> tuple[np.ndarray, float]:
-    y = _as_complex(y).reshape(-1)
-    n2 = float(np.real(y.conj() @ y))
-    if np.sqrt(n2) <= TAU_ZERO:
-        raise ZeroSteering("steering vector is numerically zero")
-    return y, n2
-
-
-def _radius2(power_bound: float, kappa: float, ny2: float) -> float:
-    r2 = power_bound - kappa**2 / ny2
-    if r2 < -1e-12 * max(power_bound, kappa**2 / ny2):
-        raise Infeasible("feasible set is empty for this steering vector")
-    return max(r2, 0.0)
 
 
 def functional_relation_check(trace: IterateTrace, cfg: ScenarioConfig,

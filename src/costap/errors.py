@@ -29,12 +29,9 @@ class NotPSD(NumericalError):
     """An eigenvalue is below the negative PSD tolerance."""
 
 
-class ZeroVector(NumericalError):
-    """Vector norm is below the zero tolerance."""
-
-
 class NoSignChange(NumericalError):
-    """Root bracketing failed even after geometric expansion."""
+    """A root function is negative at the lower end of its bracket, or
+    stays positive until the bracket expansion overflows."""
 
 
 class SingularCovariance(NumericalError):

@@ -386,6 +386,10 @@ def _cmd_run(args) -> int:
     if args.out:
         emit_trace(report.trace, args.out, args.format)
         print(f"trace written to {args.out}")
+    if report.monotonicity_violations:
+        print(f"monotone descent violated {report.monotonicity_violations} times",
+              file=sys.stderr)
+        return 3
     return 0
 
 

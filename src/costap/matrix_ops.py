@@ -7,7 +7,9 @@ Tolerances are module constants so tests and callers agree on what
 * ``TAU_PSD``   eigenvalue floor, scaled by the spectral norm
 * ``TAU_RANK``  relative singular-value cutoff for pseudoinverses
 * ``TAU_ZERO``  absolute norm below which a vector counts as zero
-* ``TAU_MP``    Moore-Penrose residual allowance (test-facing)
+
+The secular root solver ``bisect_root`` has no tolerance: it stops at
+float resolution.
 """
 
 from __future__ import annotations
@@ -16,15 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoSignChange, NotHermitian, NotPSD, NumericalFailure, ZeroVector
+from .errors import NoSignChange, NotHermitian, NotPSD, NumericalFailure
 
 TAU_HERM = 1e-10
 TAU_PSD = 1e-10
 TAU_RANK = 1e-12
 TAU_ZERO = 1e-14
-TAU_MP = 1e-9
-
-_MAX_BRACKET_DOUBLINGS = 60
 
 
 def _as_complex(a) -> np.ndarray:
@@ -32,11 +31,6 @@ def _as_complex(a) -> np.ndarray:
     if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
         raise NumericalFailure("non-finite entries in matrix/vector input")
     return out
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices (dims multiply)."""
-    return np.kron(_as_complex(a), _as_complex(b))
 
 
 def hermitian_sqrt(f) -> np.ndarray:
@@ -66,63 +60,68 @@ def hermitian_sqrt(f) -> np.ndarray:
     return (evecs * np.sqrt(clamped)) @ evecs.conj().T
 
 
-def pseudo_inverse(m) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with singular values below
-    TAU_RANK * sigma_max treated as zero."""
-    return np.linalg.pinv(_as_complex(m), rcond=TAU_RANK)
-
-
-def vector_projector(y) -> np.ndarray:
-    """Rank-1 Hermitian idempotent projector y y^H / ||y||^2."""
-    y = _as_complex(y).reshape(-1)
-    n2 = float(np.real(y.conj() @ y))
-    if np.sqrt(n2) <= TAU_ZERO:
-        raise ZeroVector("cannot build a projector from a zero vector")
-    return np.outer(y, y.conj()) / n2
-
-
 def bisect_root(
     f: Callable[[float], float],
+    df: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float,
 ) -> float:
-    """Bisection root of a monotone scalar function.
+    """Root of a decreasing function by safeguarded Newton-bisection.
 
-    Returns x with |f(x)| <= tol or bracket width <= tol. If f(lo) and
-    f(hi) share a sign, hi is pushed out by geometric doubling (up to
-    60 times) before NoSignChange is raised.
+    Needs f(lo) > 0 (+inf is allowed) and the derivative df on (lo, inf).
+    While f(hi) > 0 the bracket moves right, doubling the distance of hi
+    from the original lo; NoSignChange is raised if hi overflows first.
+    Each step then takes the Newton step from the last evaluated point
+    when it lands inside the bracket and is at most half the step before
+    last, and bisects otherwise (the safeguarding Moré & Sorensen 1983
+    use for the secular equation). There is no tolerance: the iteration
+    stops at float resolution, when f is exactly zero, when the Newton
+    step no longer moves the iterate, when no float lies between the
+    bracket ends, or when f fails to decrease between two successive
+    iterates, which only rounding can cause.
     """
     if not hi > lo:
         raise ValueError("bisect_root needs hi > lo")
-    flo = float(f(lo))
-    if abs(flo) <= tol:
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if np.isnan(fx):
+            raise NumericalFailure(f"root function is NaN at {x:.6e}")
+        return fx
+
+    flo = value(lo)
+    if flo == 0.0:
         return lo
-    fhi = float(f(hi))
-    if abs(fhi) <= tol:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        for _ in range(_MAX_BRACKET_DOUBLINGS):
-            hi = lo + 2.0 * (hi - lo)
-            fhi = float(f(hi))
-            if abs(fhi) <= tol:
-                return hi
-            if np.sign(fhi) != np.sign(flo):
-                break
-        else:
-            raise NoSignChange(
-                f"no sign change on [{lo:.3e}, {hi:.3e}] after "
-                f"{_MAX_BRACKET_DOUBLINGS} doublings"
-            )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket exhausted at float resolution
+    if flo < 0.0:
+        raise NoSignChange(f"root function is negative at the lower end {lo:.6e}")
+    base = lo
+    fhi = value(hi)
+    while fhi > 0.0:
+        lo, hi = hi, base + 2.0 * (hi - base)
+        if not np.isfinite(hi):
+            raise NoSignChange(f"no sign change on [{base:.6e}, {lo:.6e}]")
+        fhi = value(hi)
+
+    x, fx = hi, fhi
+    step = prev_step = hi - lo
+    while fx != 0.0:
+        dfx = float(df(x))
+        newton = x - fx / dfx if -np.inf < dfx < 0.0 else np.nan
+        if newton == x:
             break
-        fmid = float(f(mid))
-        if abs(fmid) <= tol:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
+        if lo < newton < hi and abs(newton - x) <= 0.5 * prev_step:
+            nxt = newton
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            nxt = 0.5 * (lo + hi)
+            if not lo < nxt < hi:
+                break
+        fnxt = value(nxt)
+        if (nxt - x) * (fnxt - fx) >= 0.0:
+            return nxt  # f no longer resolves the order of x and nxt: rounding level
+        prev_step, step = step, abs(nxt - x)
+        x, fx = nxt, fnxt
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+    return x

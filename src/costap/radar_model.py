@@ -213,9 +213,6 @@ class CovarianceBundle:
     def clutter(self, s) -> np.ndarray:
         return clutter_cov(self.ops_stack, s)
 
-    def total(self, s) -> np.ndarray:
-        return total_cov(self, s)
-
     def hessian(self, w) -> np.ndarray:
         return waveform_hessian(self.ops_stack, w)
 

@@ -23,7 +23,11 @@ where P projects onto the orthogonal complement of y. The four routes:
 All four agree on the optimum; they differ in the numerical path, which
 is the point of the cross-checks in the test suite. Multipliers are
 interchangeable: the same nonnegative scalar plays the role of lam,
-gamma and the dual variable alpha.
+gamma and the dual variable alpha. When the power bound is active,
+each route hands its own decreasing secular function and derivative
+to the one safeguarded Newton-bisection solver, ``bisect_root``, which
+stops at float resolution; the dual route first narrows the bracket by
+golden-section search on the dual.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from .errors import (
 from .matrix_ops import TAU_PSD, TAU_RANK, TAU_ZERO, _as_complex, bisect_root, hermitian_sqrt
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_RTOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +95,7 @@ def _steering_vector(y_w) -> tuple[np.ndarray, float]:
     y = _as_complex(y_w).reshape(-1)
     ny2 = float(np.real(y.conj() @ y))
     if np.sqrt(ny2) <= TAU_ZERO:
-        raise ZeroSteering("steering vector y_w is numerically zero")
+        raise ZeroSteering("steering vector is numerically zero")
     return y, ny2
 
 
@@ -107,23 +112,6 @@ def _feasible_radius2(power_bound: float, kappa: float, ny2: float) -> float:
             f"Capon point needs power {kappa**2 / ny2:.6e} > budget {power_bound:.6e}"
         )
     return max(r2, 0.0)
-
-
-def _refine_root(phi, dphi, x0: float, scale: float) -> float:
-    """Guarded Newton polish of a monotone secular root (x >= 0)."""
-    x = x0
-    for _ in range(12):
-        val = phi(x)
-        if abs(val) <= 1e-14 * max(1.0, scale):
-            break
-        der = dphi(x)
-        if der == 0.0 or not np.isfinite(der):
-            break
-        nxt = x - val / der
-        if not np.isfinite(nxt) or nxt < 0.0:
-            break
-        x = nxt
-    return max(x, 0.0)
 
 
 class _TangentProblem:
@@ -187,6 +175,19 @@ class _TangentProblem:
 
     def secular(self, gamma: float, r2: float) -> float:
         return self.tangent_norm2(gamma) - r2
+
+    def phi(self, gamma: float, r2: float) -> float:
+        """secular() for the root solve: when the linear term leaves the
+        range of M it is +inf at gamma = 0, its limit from the right, so
+        the multiplier is strictly positive."""
+        if gamma == 0.0 and not self.linear_term_in_range():
+            return np.inf
+        return self.secular(gamma, r2)
+
+    def root_bound(self, r2: float) -> float:
+        """A multiplier where the secular function is <= 0: from there
+        on every mu + gamma >= sqrt(sum|c|^2 / r^2)."""
+        return float(np.sqrt(np.sum(self.abs2) / r2)) + max(-float(self.mu[0]), 0.0)
 
     def secular_derivative(self, gamma: float) -> float:
         d = self._denom(gamma)
@@ -302,7 +303,9 @@ def direct_update(f0, g_map, w, kappa: float, power_bound: float,
     if lambda_mode == "zero" or norm2_0 <= power_bound:
         return _make_solution(problem, s0, 0.0, "lambda")
 
-    _feasible_radius2(power_bound, kappa, ny2)
+    r2 = _feasible_radius2(power_bound, kappa, ny2)
+    if r2 == 0.0:
+        return _make_solution(problem, (kappa / ny2) * y, 0.0, "lambda")
 
     def norm2_at(lam: float) -> float:
         if lam == 0.0:
@@ -319,8 +322,11 @@ def direct_update(f0, g_map, w, kappa: float, power_bound: float,
         c_sum = float(np.sum(abs2 / d**3))
         return 2.0 * kappa**2 * (a_sum**2 - c_sum * b_sum) / b_sum**3
 
-    lam = bisect_root(phi, 0.0, 1.0, 1e-12)
-    lam = _refine_root(phi, dphi, lam, power_bound)
+    # kappa ||P F0 y|| / (||y||^2 r) is the tangent routes' root_bound:
+    # s(lam) -> center - kappa/(lam ||y||^2) P F0 y as lam grows
+    pf0y2 = float(np.sum(evals**2 * abs2)) - float(np.sum(evals * abs2)) ** 2 / ny2
+    hi = kappa * np.sqrt(max(pf0y2, 0.0) / r2) / ny2
+    lam = bisect_root(phi, dphi, 0.0, hi if hi > 0.0 else 1.0)
     s, _ = solution_at(lam)
     return _make_solution(problem, s, lam, "lambda")
 
@@ -345,16 +351,11 @@ def qcqp_solve(f0, y_w, kappa: float, power_bound: float,
     r2 = tp.r2
     if r2 == 0.0:
         return _make_solution(problem, tp.assemble(np.zeros_like(tp.y)), 0.0, "gamma")
-    if tp.linear_term_in_range() and tp.secular(0.0, r2) <= 0.0:
+    if tp.phi(0.0, r2) <= 0.0:
         return _make_solution(problem, tp.assemble(tp.q_of(0.0)), 0.0, "gamma")
 
-    def phi(gamma: float) -> float:
-        if gamma == 0.0:
-            return np.inf if not tp.linear_term_in_range() else tp.secular(0.0, r2)
-        return tp.secular(gamma, r2)
-
-    gamma = bisect_root(phi, 0.0, 1.0, 1e-12)
-    gamma = _refine_root(lambda x: tp.secular(x, r2), tp.secular_derivative, gamma, r2)
+    gamma = bisect_root(lambda x: tp.phi(x, r2), tp.secular_derivative,
+                        0.0, tp.root_bound(r2))
     return _make_solution(problem, tp.assemble(tp.q_of(gamma)), gamma, "gamma")
 
 
@@ -370,14 +371,14 @@ def secular_residual(f0, y_w, kappa: float, power_bound: float, gamma: float) ->
     return tp.secular(gamma, tp.r2)
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
+def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section search for the maximizer of a concave function:
+    returns the final interval, _GOLDEN_RTOL times the bracket wide."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    for _ in range(400):
-        if b - a <= tol:
-            break
+    while b - a > _GOLDEN_RTOL * (hi - lo):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -386,7 +387,7 @@ def _golden_max(fun, lo: float, hi: float, tol: float) -> float:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = fun(d)
-    return 0.5 * (a + b)
+    return a, b
 
 
 def sdp_dual_solve(f0, y_w, kappa: float, power_bound: float,
@@ -397,9 +398,11 @@ def sdp_dual_solve(f0, y_w, kappa: float, power_bound: float,
                - (kappa^2/||y||^4) b^H B(alpha)^+ b
 
     with B(alpha) = P(F0 + alpha*P)P and b = P F0 y, maximized by
-    golden-section search (plus a derivative-sign polish); the primal
-    point is recovered from the optimizing alpha and certified against
-    the dual value (rank-1 lifting, weak/strong duality gap).
+    golden-section search on [0, tp.root_bound]; the final golden
+    interval goes to the shared root solver on the dual's derivative,
+    the secular function. The primal point is recovered from the
+    optimizing alpha and certified against the dual value (rank-1
+    lifting, weak/strong duality gap).
     """
     if mode not in ("root", "zero"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -414,21 +417,14 @@ def sdp_dual_solve(f0, y_w, kappa: float, power_bound: float,
         if r2 == 0.0:
             alpha = 0.0
             q = np.zeros_like(tp.y)
-        elif tp.linear_term_in_range() and tp.secular(0.0, r2) <= 0.0:
+        elif tp.phi(0.0, r2) <= 0.0:
             alpha = 0.0
             q = tp.q_of(alpha)
         else:
-            hi = 1.0
-            for _ in range(60):
-                if tp.secular(hi, r2) <= 0.0:
-                    break
-                hi *= 2.0
-            else:
-                raise NumericalFailure("dual maximizer bracket expansion failed")
-            alpha = _golden_max(lambda a: tp.dual_value(a, r2), 0.0, hi, 1e-12)
-            alpha = _refine_root(
-                lambda x: tp.secular(x, r2), tp.secular_derivative, alpha, r2
-            )
+            lo, hi = _golden_max(lambda a: tp.dual_value(a, r2), 0.0, tp.root_bound(r2))
+            if not tp.phi(lo, r2) > 0.0:
+                lo = 0.0  # rounding on the dual's flat top moved the interval past the root
+            alpha = bisect_root(lambda x: tp.phi(x, r2), tp.secular_derivative, lo, hi)
             q = tp.q_of(alpha)
 
     s = tp.assemble(q)
@@ -475,8 +471,9 @@ def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
     evals = np.linalg.eigvalsh(lifted)
     rank1 = float(evals[-2] / evals[-1]) if evals.size > 1 else 0.0
 
-    r2 = max(prob.power_bound - prob.kappa**2 / tp.ny2, 0.0)
     alpha = solution.multiplier
+    # alpha * r^2 vanishes at alpha = 0, where a zero-mode budget may be infeasible
+    r2 = tp.r2 if alpha > 0.0 else 0.0
     dual = tp.dual_value(alpha, r2)
     beta = dual + alpha * r2
     return DualCertificate(
@@ -513,8 +510,9 @@ def cls_solve(f0, y_w, kappa: float, power_bound: float,
     d_vec = -(kappa / ny2) * (sqrt_f @ y)
     u_mat, sig, vh = np.linalg.svd(a_mat, full_matrices=False)
     dhat = u_mat.conj().T @ d_vec
-    sig_scale = float(sig[0]) if sig.size else 0.0
-    kept = sig > TAU_RANK * max(sig_scale, TAU_ZERO)
+    # the rank cutoff is on sig^2, the eigenvalues of P F0 P, as in the tangent routes
+    sig2_scale = float(sig[0]) ** 2 if sig.size else 0.0
+    kept = sig**2 > TAU_RANK * max(sig2_scale, TAU_ZERO)
     weights = (sig * np.abs(dhat)) ** 2
 
     def z_of(mu: float) -> np.ndarray:
@@ -544,8 +542,7 @@ def cls_solve(f0, y_w, kappa: float, power_bound: float,
             def dpsi(mu: float) -> float:
                 return float(-2.0 * np.sum(weights / (sig**2 + mu) ** 3))
 
-            mu_star = bisect_root(psi, 0.0, 1.0, 1e-12)
-            mu_star = _refine_root(psi, dpsi, mu_star, r2)
+            mu_star = bisect_root(psi, dpsi, 0.0, float(np.sqrt(np.sum(weights) / r2)))
 
     q = basis @ z_of(mu_star)
     return _make_solution(problem, q + center, mu_star, "gamma")

@@ -2,44 +2,8 @@ import numpy as np
 import pytest
 
 import costap as cs
-from costap.matrix_ops import TAU_MP
 
 from helpers import random_complex, random_psd
-
-
-class TestKron:
-    def test_scalar_block(self):
-        out = cs.kron(np.array([[1.0], [2.0]]), np.array([[3.0]]))
-        np.testing.assert_array_equal(out, [[3.0], [6.0]])
-
-    def test_identity(self):
-        np.testing.assert_array_equal(cs.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_elementwise_against_double_loop(self):
-        rng = np.random.default_rng(1)
-        a = random_complex(rng, 2, 2)
-        b = random_complex(rng, 3, 1)
-        out = cs.kron(a, b)
-        expected = np.zeros((6, 2), dtype=complex)
-        for i in range(2):
-            for j in range(2):
-                for k in range(3):
-                    for l in range(1):
-                        expected[i * 3 + k, j * 1 + l] = a[i, j] * b[k, l]
-        np.testing.assert_allclose(out, expected, rtol=1e-15, atol=0)
-
-    def test_frobenius_norm_identity(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            a = random_complex(rng, 3, 4)
-            b = random_complex(rng, 2, 5)
-            lhs = np.linalg.norm(cs.kron(a, b))
-            rhs = np.linalg.norm(a) * np.linalg.norm(b)
-            assert abs(lhs - rhs) <= 1e-12 * rhs
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(cs.NumericalFailure):
-            cs.kron(np.array([[np.nan]]), np.eye(2))
 
 
 class TestHermitianSqrt:
@@ -73,6 +37,10 @@ class TestHermitianSqrt:
         with pytest.raises(cs.NotPSD):
             cs.hermitian_sqrt(np.diag([1.0, -1e-3]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(cs.NumericalFailure):
+            cs.hermitian_sqrt(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
     def test_negative_noise_is_clamped(self):
         # eigenvalues within -tau of zero round to zero instead of erroring
         f = np.diag([1.0, -1e-14])
@@ -80,72 +48,45 @@ class TestHermitianSqrt:
         np.testing.assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
 
 
-class TestPseudoInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(cs.pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_rank_deficient_diagonal(self):
-        out = cs.pseudo_inverse(np.diag([2.0, 0.0]))
-        np.testing.assert_allclose(out, np.diag([0.5, 0.0]), atol=1e-14)
-
-    def test_moore_penrose_conditions(self):
-        rng = np.random.default_rng(5)
-        m = random_complex(rng, 6, 4)
-        p = cs.pseudo_inverse(m)
-        scale = np.max(np.abs(m))
-        assert np.max(np.abs(m @ p @ m - m)) <= 1e-10 * scale
-        assert np.max(np.abs(p @ m @ p - p)) <= TAU_MP
-        assert np.max(np.abs((m @ p).conj().T - m @ p)) <= TAU_MP
-        assert np.max(np.abs((p @ m).conj().T - p @ m)) <= TAU_MP
-
-    def test_full_rank_square_matches_inverse(self):
-        rng = np.random.default_rng(6)
-        m = random_complex(rng, 5, 5) + 3.0 * np.eye(5)
-        inv = np.linalg.inv(m)
-        assert np.max(np.abs(cs.pseudo_inverse(m) - inv)) <= 1e-9 * np.max(np.abs(inv))
-
-
-class TestVectorProjector:
-    def test_basis_vector(self):
-        p = cs.vector_projector(np.array([1.0, 0.0, 0.0], dtype=complex))
-        np.testing.assert_allclose(p, np.diag([1.0, 0.0, 0.0]), atol=1e-15)
-
-    def test_idempotent_hermitian_annihilation(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            y = random_complex(rng, 6)
-            p = cs.vector_projector(y)
-            assert np.max(np.abs(p @ p - p)) <= 1e-12
-            assert np.max(np.abs(p.conj().T - p)) <= 1e-12
-            assert np.linalg.norm((np.eye(6) - p) @ y) <= 1e-12 * np.linalg.norm(y)
-
-    def test_matches_outer_product_formula(self):
-        rng = np.random.default_rng(8)
-        y = random_complex(rng, 8)
-        expected = np.outer(y, y.conj()) / np.real(y.conj() @ y)
-        np.testing.assert_allclose(cs.vector_projector(y), expected, atol=1e-14)
-
-    def test_zero_vector(self):
-        with pytest.raises(cs.ZeroVector):
-            cs.vector_projector(np.zeros(4, dtype=complex))
-
-
 class TestBisectRoot:
     def test_linear(self):
-        assert abs(cs.bisect_root(lambda x: x - 1.0, 0.0, 2.0, 1e-12) - 1.0) <= 1e-12
+        assert cs.bisect_root(lambda x: 1.0 - x, lambda x: -1.0, 0.0, 2.0) == 1.0
 
     def test_sqrt_two(self):
-        root = cs.bisect_root(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)
-        assert abs(root - np.sqrt(2.0)) <= 1e-10
+        root = cs.bisect_root(lambda x: 2.0 - x * x, lambda x: -2.0 * x, 0.0, 2.0)
+        assert abs(root - np.sqrt(2.0)) <= 4e-16
 
     def test_bracket_expansion(self):
         # root at 1000, initial hi = 1: needs doubling
-        root = cs.bisect_root(lambda x: x - 1000.0, 0.0, 1.0, 1e-9)
-        assert abs(root - 1000.0) <= 1e-6
+        root = cs.bisect_root(lambda x: 1000.0 - x, lambda x: -1.0, 0.0, 1.0)
+        assert root == 1000.0
 
     def test_no_sign_change(self):
         with pytest.raises(cs.NoSignChange):
-            cs.bisect_root(lambda x: 1.0 + x, 0.0, 1.0, 1e-12)
+            cs.bisect_root(lambda x: 1.0 + np.exp(-x), lambda x: -np.exp(-x), 0.0, 1.0)
+
+    def test_negative_at_lower_end(self):
+        with pytest.raises(cs.NoSignChange):
+            cs.bisect_root(lambda x: -1.0 - x, lambda x: -1.0, 0.0, 1.0)
+
+    def test_nan_is_a_numerical_failure(self):
+        with pytest.raises(cs.NumericalFailure):
+            cs.bisect_root(lambda x: 1.0 if x == 0.0 else np.nan, lambda x: -1.0, 0.0, 1.0)
+
+    def test_infinite_at_lower_end(self):
+        # a secular function with a pole at the lower end, as qcqp's is when
+        # the linear term leaves the range of the Hessian
+        root = cs.bisect_root(lambda x: np.inf if x == 0.0 else 1.0 / x**2 - 4.0,
+                              lambda x: -2.0 / x**3, 0.0, 1.0)
+        assert abs(root - 0.5) <= 1e-16
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e-20, 1.0, 1e20, 1e200])
+    def test_float_resolution_at_every_scale(self, scale):
+        # an absolute tolerance would stop at the lower end for tiny scales
+        # and never stop for huge ones
+        root = cs.bisect_root(lambda x: scale * (1e-9 - x) / (1.0 + x),
+                              lambda x: -scale * (1.0 + 1e-9) / (1.0 + x) ** 2, 0.0, 1.0)
+        assert abs(root - 1e-9) <= 1e-24
 
     def test_secular_root_matches_dense_grid(self):
         # independent full-space evaluation of the tangent secular
@@ -168,8 +109,11 @@ class TestBisectRoot:
         def phi(g):
             return float(np.sum(chat2 / (evals + g) ** 2)) - r2
 
-        root = cs.bisect_root(lambda g: cs.secular_residual(f0, y, kappa, p_o, g),
-                              0.0, 1.0, 1e-12)
+        def dphi(g):
+            return float(-2.0 * np.sum(chat2 / (evals + g) ** 3))
+
+        root = cs.bisect_root(lambda g: cs.secular_residual(f0, y, kappa, p_o, g), dphi,
+                              0.0, 1.0)
 
         grid = np.linspace(1e-9, 4.0, 1_000_000)
         vals = np.sum(chat2[None, :] / (evals[None, :] + grid[:, None]) ** 2, axis=1) - r2

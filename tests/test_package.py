@@ -1,0 +1,39 @@
+"""The package surface and the benchmark's entry point."""
+
+import subprocess
+import sys
+from pathlib import Path
+from types import ModuleType
+
+import costap as cs
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_all_lists_every_public_name():
+    public = {name for name, value in vars(cs).items()
+              if not name.startswith("_") and not isinstance(value, ModuleType)}
+    assert set(cs.__all__) == public
+    assert len(cs.__all__) == len(public)
+    for name in cs.__all__:
+        assert getattr(cs, name) is not None
+    for name in ("run", "qcqp_solve", "sdp_dual_solve", "cls_solve", "direct_update",
+                 "bisect_root", "hermitian_sqrt", "CostapError", "main"):
+        assert name in cs.__all__
+    assert "waveform_solvers" not in cs.__all__
+
+
+def test_star_import_matches_all():
+    namespace = {}
+    exec("from costap import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(cs.__all__)
+
+
+def test_benchmark_lists_its_metrics():
+    # the benchmark resolves its traced functions by name at import time,
+    # so a rename in the package fails here
+    out = subprocess.run([sys.executable, "bench/run.py", "--list-metrics"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert "matrix_ops.bisect_root.evals" in out.stdout

@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import costap as cs
+from costap.matrix_ops import TAU_RANK
+from costap.waveform_solvers import _orth_complement
 
 from helpers import random_complex, random_instance, random_psd
 
@@ -48,6 +52,22 @@ def solve_all(f0, y, kappa, p_o):
         "sdp": cs.sdp_dual_solve(f0, y, kappa, p_o),
         "cls": cs.cls_solve(f0, y, kappa, p_o),
     }
+
+
+class TestOrthComplement:
+    def test_projector_is_hermitian_idempotent_and_annihilates_y(self):
+        # W W^H is the projector P onto y-perp that every tangent route uses
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            y = random_complex(rng, 6)
+            basis = _orth_complement(y)
+            p = basis @ basis.conj().T
+            assert basis.shape == (6, 5)
+            assert np.max(np.abs(p @ p - p)) <= 1e-12
+            assert np.max(np.abs(p.conj().T - p)) <= 1e-12
+            assert np.linalg.norm(p @ y) <= 1e-12 * np.linalg.norm(y)
+            expected = np.eye(6) - np.outer(y, y.conj()) / np.real(y.conj() @ y)
+            np.testing.assert_allclose(p, expected, atol=1e-14)
 
 
 class TestDirectUpdate:
@@ -206,7 +226,7 @@ class TestSecularResidual:
         ny2 = float(np.real(y.conj() @ y))
         pperp = np.eye(n) - np.outer(y, y.conj()) / ny2
         for gamma in (0.0, 0.3, 2.7):
-            a_mat = cs.pseudo_inverse(pperp @ f0 @ pperp + gamma * pperp) @ (pperp @ f0)
+            a_mat = np.linalg.pinv(pperp @ f0 @ pperp + gamma * pperp, rcond=TAU_RANK) @ (pperp @ f0)
             q = -(kappa / ny2) * (a_mat @ y)
             phi = float(np.real(q.conj() @ (pperp @ q))) - (p_o - kappa**2 / ny2)
             lib = cs.secular_residual(f0, y, kappa, p_o, gamma)
@@ -447,3 +467,36 @@ class TestZeroModes:
             assert sol.multiplier == 0.0
             assert np.linalg.norm(cs.align_phase(sol.s, y) - ref) <= 1e-8
         assert qc.capon_residual <= 1e-8
+
+
+@st.composite
+def scaled_instances(draw):
+    """A waveform subproblem at an extreme scale: PSD F0 of any rank with
+    spectral norm 1e-8..1e8, kappa 1e-4..1e4 and a budget 1e-6..1 above
+    the Capon power kappa^2/||y||^2."""
+    n = draw(st.integers(3, 11))
+    rank = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = random_complex(rng, n, rank)
+    f0 = u @ u.conj().T
+    f0 *= 10.0 ** draw(st.floats(-8.0, 8.0)) / np.linalg.norm(f0, 2)
+    y = random_complex(rng, n)
+    kappa = 10.0 ** draw(st.floats(-4.0, 4.0))
+    slack = 10.0 ** draw(st.floats(-6.0, 0.0))
+    return f0, y, kappa, kappa**2 / float(np.real(y.conj() @ y)) * (1.0 + slack)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(scaled_instances())
+def test_four_routes_agree_at_every_scale(instance):
+    f0, y, kappa, p_o = instance
+    sols = list(solve_all(f0, y, kappa, p_o).values())
+    mults = np.array([s.multiplier for s in sols])
+    objs = np.array([s.objective for s in sols])
+    assert np.all(mults == 0.0) or np.all(mults > 0.0), mults
+    if mults[0] > 0.0:
+        assert mults.max() - mults.min() <= 1e-8 * mults.max(), mults
+        assert max(s.power for s in sols) <= p_o * (1.0 + 1e-12)
+        assert objs.max() - objs.min() <= 1e-6 * np.abs(objs).max(), objs
+    else:
+        assert objs.max() - objs.min() <= 1e-6 * np.linalg.norm(f0, 2) * p_o, objs

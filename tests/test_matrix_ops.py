@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import costap as cs
+from costap.waveform_solvers import _orth_complement
 
 from helpers import random_complex, random_psd
 
@@ -46,6 +47,30 @@ class TestHermitianSqrt:
         f = np.diag([1.0, -1e-14])
         s = cs.hermitian_sqrt(f)
         np.testing.assert_allclose(s, np.diag([1.0, 0.0]), atol=1e-12)
+
+
+class TestVectorProjector:
+    # the projector y y^H/||y||^2 onto span{y}, as I - W W^H from the
+    # orthonormal y-perp basis W that every tangent route uses
+    def test_idempotent_hermitian_annihilation(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            y = random_complex(rng, 6)
+            basis = _orth_complement(y)
+            assert basis.shape == (6, 5)
+            p = np.eye(6) - basis @ basis.conj().T
+            assert np.max(np.abs(p @ p - p)) <= 1e-12
+            assert np.max(np.abs(p.conj().T - p)) <= 1e-12
+            assert np.linalg.norm((np.eye(6) - p) @ y) <= 1e-12 * np.linalg.norm(y)
+
+    def test_matches_outer_product_formula(self):
+        rng = np.random.default_rng(8)
+        y = random_complex(rng, 8)
+        basis = _orth_complement(y)
+        expected = np.outer(y, y.conj()) / np.real(y.conj() @ y)
+        np.testing.assert_allclose(
+            np.eye(8) - basis @ basis.conj().T, expected, atol=1e-14
+        )
 
 
 class TestBisectRoot:

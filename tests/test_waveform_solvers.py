@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import costap as cs
 from costap.matrix_ops import TAU_RANK
-from costap.waveform_solvers import _orth_complement
 
 from helpers import random_complex, random_instance, random_psd
 
@@ -52,22 +51,6 @@ def solve_all(f0, y, kappa, p_o):
         "sdp": cs.sdp_dual_solve(f0, y, kappa, p_o),
         "cls": cs.cls_solve(f0, y, kappa, p_o),
     }
-
-
-class TestOrthComplement:
-    def test_projector_is_hermitian_idempotent_and_annihilates_y(self):
-        # W W^H is the projector P onto y-perp that every tangent route uses
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            y = random_complex(rng, 6)
-            basis = _orth_complement(y)
-            p = basis @ basis.conj().T
-            assert basis.shape == (6, 5)
-            assert np.max(np.abs(p @ p - p)) <= 1e-12
-            assert np.max(np.abs(p.conj().T - p)) <= 1e-12
-            assert np.linalg.norm(p @ y) <= 1e-12 * np.linalg.norm(y)
-            expected = np.eye(6) - np.outer(y, y.conj()) / np.real(y.conj() @ y)
-            np.testing.assert_allclose(p, expected, atol=1e-14)
 
 
 class TestDirectUpdate:

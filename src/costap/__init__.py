@@ -73,7 +73,6 @@ from .waveform_solvers import (
     scale_solution,
     sdp_certificate,
     sdp_dual_solve,
-    secular_residual,
 )
 
 __version__ = "0.1.0"

@@ -54,7 +54,6 @@ class ExperimentSpec:
     trials: int = 1
     max_iter: int = 20
     seed: int = 0
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -403,7 +402,6 @@ def _run_experiment(args, default_trials: int, write_traces: bool) -> int:
         trials=args.trials if args.trials is not None else default_trials,
         max_iter=args.iters,
         seed=args.seed if args.seed is not None else cfg.seed,
-        output_path=args.out,
     )
     traces, table = run_comparison(spec)
     _print_table(table)

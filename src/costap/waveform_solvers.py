@@ -11,28 +11,38 @@ reduces it to a trust-region-style problem over the tangent space:
     min_q  q^H P F0 P q + 2(kappa/||y||^2) Re{q^H P F0 y}
     s.t.   ||P q||^2 <= r^2 := P_o - kappa^2/||y||^2
 
-where P projects onto the orthogonal complement of y. The four routes:
+where P projects onto the orthogonal complement of y. One
+``WaveformProblem`` per solve holds what every route shares: the
+validated inputs, the Capon point kappa*y/||y||^2, an orthonormal basis
+W of y-perp and r^2, and, the first time qcqp, sdp or the certificate
+needs it, the eigen-decomposition of W^H F0 W. One multiplier regime is
+shared too (``_solve``): zero mode takes the point at multiplier 0 and
+ignores the bound; root mode returns the Capon point when r^2 = 0, the
+point at multiplier 0 when it fits, and otherwise the root of the
+route's decreasing secular function from the one safeguarded
+Newton-bisection solver, ``bisect_root``, which stops at float
+resolution. Each route keeps only its own decomposition and, from it,
+its secular function, derivative, bracket and point:
 
-* ``direct_update``  ridge update s = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y)
-  with the smallest lam >= 0 restoring the power bound (secular root);
-* ``qcqp_solve``     tangent-space secular equation in the multiplier gamma;
-* ``sdp_dual_solve`` maximizes the 1-D concave dual of the tangent problem
-  and recovers the primal point, with a rank-1 strong-duality certificate;
-* ``cls_solve``      least squares ||C q - d||^2 on the norm ball, via SVD.
+* ``direct_update``  eigh of F0: ridge update
+  s = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y);
+* ``qcqp_solve``     eigh of W^H F0 W: tangent-space secular equation;
+* ``sdp_dual_solve`` the same secular equation, bracketed by
+  golden-section search on the 1-D concave dual, with a rank-1
+  strong-duality certificate;
+* ``cls_solve``      SVD of F0^{1/2} W: least squares ||C q - d||^2 on
+  the norm ball.
 
 All four agree on the optimum; they differ in the numerical path, which
 is the point of the cross-checks in the test suite. Multipliers are
 interchangeable: the same nonnegative scalar plays the role of lam,
-gamma and the dual variable alpha. When the power bound is active,
-each route hands its own decreasing secular function and derivative
-to the one safeguarded Newton-bisection solver, ``bisect_root``, which
-stops at float resolution; the dual route first narrows the bracket by
-golden-section search on the dual.
+gamma and the dual variable alpha.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,14 +59,122 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_RTOL = 1e-8
 
 
+def _steering_vector(y_w) -> tuple[np.ndarray, float]:
+    y = _as_complex(y_w).reshape(-1)
+    ny2 = float(np.real(y.conj() @ y))
+    if np.sqrt(ny2) <= TAU_ZERO:
+        raise ZeroSteering("steering vector is numerically zero")
+    return y, ny2
+
+
+def _orth_complement(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (N x N-1) of the complement of span{y}."""
+    q, _ = np.linalg.qr(y.reshape(-1, 1), mode="complete")
+    return q[:, 1:]
+
+
+def _feasible_radius2(power_bound: float, kappa: float, ny2: float) -> float:
+    r2 = power_bound - kappa**2 / ny2
+    if r2 < -1e-12 * max(power_bound, kappa**2 / ny2):
+        raise Infeasible(
+            f"Capon point needs power {kappa**2 / ny2:.6e} > budget {power_bound:.6e}"
+        )
+    return max(r2, 0.0)
+
+
 @dataclass(frozen=True, eq=False)
 class WaveformProblem:
-    """Inputs of one waveform subproblem (kept for certification)."""
+    """One waveform subproblem and the Capon geometry every route shares.
+
+    Routes build it with ``_validated``. The derived quantities are
+    computed on first use, so each route pays only for what it reads:
+    r^2 raises Infeasible only where the power bound matters, and the
+    eigen-decomposition of M = W^H F0 W (the tangent secular function,
+    point and dual, O(N) per evaluation) is formed once, for qcqp, sdp
+    or the certificate.
+    """
 
     hessian: np.ndarray
     steering: np.ndarray
     kappa: float
     power_bound: float
+
+    @classmethod
+    def _validated(cls, f0, y_w, kappa: float, power_bound: float) -> WaveformProblem:
+        f0 = _as_complex(f0)
+        y, _ = _steering_vector(y_w)
+        if f0.shape != (y.size, y.size):
+            raise ValueError(f"Hessian shape {f0.shape} does not match steering length {y.size}")
+        return cls(f0, y, float(kappa), float(power_bound))
+
+    @cached_property
+    def ny2(self) -> float:
+        return float(np.real(self.steering.conj() @ self.steering))
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        """The Capon point kappa*y/||y||^2, the minimum-power feasible code."""
+        return (self.kappa / self.ny2) * self.steering
+
+    @cached_property
+    def r2(self) -> float:
+        return _feasible_radius2(self.power_bound, self.kappa, self.ny2)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return _orth_complement(self.steering)
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, ...]:
+        """(mu, V, c, |c|^2, kept): M = V diag(mu) V^H, c the linear term
+        (kappa/||y||^2) V^H W^H F0 y, kept the eigenvalues above TAU_RANK."""
+        m = self.basis.conj().T @ self.hessian @ self.basis
+        mu, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        ctilde = (self.kappa / self.ny2) * (self.basis.conj().T @ (self.hessian @ self.steering))
+        chat = vecs.conj().T @ ctilde
+        mu_scale = float(np.max(np.abs(mu))) if mu.size else 0.0
+        return mu, vecs, chat, np.abs(chat) ** 2, mu > TAU_RANK * max(mu_scale, TAU_ZERO)
+
+    def secular(self, gamma: float) -> float:
+        """||P q(gamma)||^2 - r^2, decreasing on gamma >= 0.
+
+        At gamma = 0 it takes the pseudoinverse value, or +inf, its limit
+        from the right, when the linear term leaves the range of M, so
+        that the multiplier is then strictly positive.
+        """
+        mu, _, _, abs2, kept = self._spectrum
+        if gamma != 0.0:
+            return float(np.sum(abs2 / (mu + gamma) ** 2)) - self.r2
+        if float(np.sum(abs2[~kept])) > 1e-24 * max(float(np.sum(abs2)), TAU_ZERO):
+            return np.inf
+        return float(np.sum(abs2[kept] / mu[kept] ** 2)) - self.r2
+
+    def secular_derivative(self, gamma: float) -> float:
+        mu, _, _, abs2, _ = self._spectrum
+        return float(-2.0 * np.sum(abs2 / (mu + gamma) ** 3))
+
+    def root_bound(self) -> float:
+        """A multiplier where the secular function is <= 0: from there
+        on every mu + gamma >= sqrt(sum|c|^2 / r^2)."""
+        mu, _, _, abs2, _ = self._spectrum
+        return float(np.sqrt(np.sum(abs2) / self.r2)) + max(-float(mu[0]), 0.0)
+
+    def tangent_point(self, gamma: float) -> np.ndarray:
+        """s(gamma) = q(gamma) + Capon point, pseudoinverse semantics at 0."""
+        mu, vecs, chat, _, kept = self._spectrum
+        if gamma == 0.0:
+            coeff = np.where(kept, -chat / np.where(kept, mu, 1.0), 0.0)
+        else:
+            coeff = -chat / (mu + gamma)
+        return self.basis @ (vecs @ coeff) + self.center
+
+    def dual_value(self, alpha: float) -> float:
+        """The concave dual g(alpha) = -alpha r^2 - c^H (M + alpha I)^+ c."""
+        mu, _, _, abs2, kept = self._spectrum
+        if alpha == 0.0:
+            # alpha r^2 vanishes, also where a zero-mode budget is infeasible
+            return -float(np.sum(abs2[kept] / mu[kept]))
+        return -alpha * self.r2 - float(np.sum(abs2 / (mu + alpha)))
 
 
 @dataclass
@@ -91,161 +209,48 @@ class WaveformSolution:
     problem: WaveformProblem | None = None
 
 
-def _steering_vector(y_w) -> tuple[np.ndarray, float]:
-    y = _as_complex(y_w).reshape(-1)
-    ny2 = float(np.real(y.conj() @ y))
-    if np.sqrt(ny2) <= TAU_ZERO:
-        raise ZeroSteering("steering vector is numerically zero")
-    return y, ny2
-
-
-def _orth_complement(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (N x N-1) of the complement of span{y}."""
-    q, _ = np.linalg.qr(y.reshape(-1, 1), mode="complete")
-    return q[:, 1:]
-
-
-def _feasible_radius2(power_bound: float, kappa: float, ny2: float) -> float:
-    r2 = power_bound - kappa**2 / ny2
-    if r2 < -1e-12 * max(power_bound, kappa**2 / ny2):
-        raise Infeasible(
-            f"Capon point needs power {kappa**2 / ny2:.6e} > budget {power_bound:.6e}"
-        )
-    return max(r2, 0.0)
-
-
-class _TangentProblem:
-    """The subproblem restricted to the complement of y, diagonalized.
-
-    Holds the eigen-decomposition of M = W^H F0 W (W an orthonormal
-    basis of y-perp) and the linear-term coefficients, so the secular
-    function, its derivative and the dual are O(N) per evaluation.
-    """
-
-    def __init__(self, f0, y_w, kappa: float, power_bound: float):
-        f0 = _as_complex(f0)
-        y, ny2 = _steering_vector(y_w)
-        if f0.shape != (y.size, y.size):
-            raise ValueError(f"Hessian shape {f0.shape} does not match steering length {y.size}")
-        self.f0 = f0
-        self.y = y
-        self.ny2 = ny2
-        self.kappa = float(kappa)
-        self.power_bound = float(power_bound)
-        self.center = (kappa / ny2) * y
-        fy = f0 @ y
-        self.const = (kappa**2 / ny2**2) * float(np.real(y.conj() @ fy))
-        self.basis = _orth_complement(y)
-        k = self.basis.shape[1]
-        if k:
-            m = self.basis.conj().T @ f0 @ self.basis
-            m = 0.5 * (m + m.conj().T)
-            self.mu, vecs = np.linalg.eigh(m)
-            ctilde = (kappa / ny2) * (self.basis.conj().T @ fy)
-            self.chat = vecs.conj().T @ ctilde
-            self.vecs = vecs
-        else:
-            self.mu = np.zeros(0)
-            self.chat = np.zeros(0, dtype=np.complex128)
-            self.vecs = np.zeros((0, 0), dtype=np.complex128)
-        self.abs2 = np.abs(self.chat) ** 2
-        mu_scale = float(np.max(np.abs(self.mu))) if self.mu.size else 0.0
-        self.kept = self.mu > TAU_RANK * max(mu_scale, TAU_ZERO)
-
-    @property
-    def r2(self) -> float:
-        return _feasible_radius2(self.power_bound, self.kappa, self.ny2)
-
-    def linear_term_in_range(self) -> bool:
-        dropped = float(np.sum(self.abs2[~self.kept]))
-        total = float(np.sum(self.abs2))
-        return dropped <= 1e-24 * max(total, TAU_ZERO)
-
-    def _denom(self, gamma: float) -> np.ndarray:
-        return self.mu + gamma
-
-    def tangent_norm2(self, gamma: float) -> float:
-        if gamma == 0.0:
-            d = self.mu[self.kept]
-            a = self.abs2[self.kept]
-        else:
-            d = self._denom(gamma)
-            a = self.abs2
-        return float(np.sum(a / d**2))
-
-    def secular(self, gamma: float, r2: float) -> float:
-        return self.tangent_norm2(gamma) - r2
-
-    def phi(self, gamma: float, r2: float) -> float:
-        """secular() for the root solve: when the linear term leaves the
-        range of M it is +inf at gamma = 0, its limit from the right, so
-        the multiplier is strictly positive."""
-        if gamma == 0.0 and not self.linear_term_in_range():
-            return np.inf
-        return self.secular(gamma, r2)
-
-    def root_bound(self, r2: float) -> float:
-        """A multiplier where the secular function is <= 0: from there
-        on every mu + gamma >= sqrt(sum|c|^2 / r^2)."""
-        return float(np.sqrt(np.sum(self.abs2) / r2)) + max(-float(self.mu[0]), 0.0)
-
-    def secular_derivative(self, gamma: float) -> float:
-        d = self._denom(gamma)
-        return float(-2.0 * np.sum(self.abs2 / d**3))
-
-    def q_of(self, gamma: float) -> np.ndarray:
-        if gamma == 0.0:
-            coeff = np.where(self.kept, -self.chat / np.where(self.kept, self.mu, 1.0), 0.0)
-        else:
-            coeff = -self.chat / self._denom(gamma)
-        return self.basis @ (self.vecs @ coeff)
-
-    def dual_value(self, alpha: float, r2: float) -> float:
-        if alpha == 0.0:
-            quad = float(np.sum(self.abs2[self.kept] / self.mu[self.kept]))
-        else:
-            quad = float(np.sum(self.abs2 / self._denom(alpha)))
-        return -alpha * r2 - quad
-
-    def reduced_objective(self, q: np.ndarray) -> float:
-        quad = float(np.real(q.conj() @ (self.f0 @ q)))
-        lin = 2.0 * (self.kappa / self.ny2) * float(np.real(q.conj() @ (self.f0 @ self.y)))
-        return quad + lin
-
-    def assemble(self, q: np.ndarray) -> np.ndarray:
-        return q + self.center
-
-
-def _kkt_residual(f0: np.ndarray, y: np.ndarray, ny2: float, s: np.ndarray,
-                  multiplier: float) -> float:
-    v = f0 @ s + multiplier * s
-    tangential = v - y * ((y.conj() @ v) / ny2)
-    nv = float(np.linalg.norm(v))
-    if nv <= TAU_ZERO:
-        return 0.0
-    return float(np.linalg.norm(tangential)) / nv
-
-
 def _make_solution(problem: WaveformProblem, s: np.ndarray, multiplier: float,
-                   kind: str, certificate: DualCertificate | None = None) -> WaveformSolution:
-    f0 = problem.hessian
-    y = problem.steering
-    ny2 = float(np.real(y.conj() @ y))
-    objective = float(np.real(s.conj() @ (f0 @ s)))
-    capon = float(np.abs(s.conj() @ y - problem.kappa))
-    power = float(np.real(s.conj() @ s))
-    kkt = _kkt_residual(f0, y, ny2, s, multiplier)
+                   kind: str) -> WaveformSolution:
+    f0, y = problem.hessian, problem.steering
+    fs = f0 @ s
+    v = fs + multiplier * s
+    tangential = v - y * ((y.conj() @ v) / problem.ny2)
+    nv = float(np.linalg.norm(v))
     return WaveformSolution(
         s=s,
         multiplier=float(multiplier),
         multiplier_kind=kind,
-        objective=objective,
-        capon_residual=capon,
-        power=power,
-        kkt_residual=kkt,
-        certificate=certificate,
+        objective=float(np.real(s.conj() @ fs)),
+        capon_residual=float(np.abs(s.conj() @ y - problem.kappa)),
+        power=float(np.real(s.conj() @ s)),
+        kkt_residual=0.0 if nv <= TAU_ZERO else float(np.linalg.norm(tangential)) / nv,
         problem=problem,
     )
+
+
+def _solve(problem: WaveformProblem, mode: str, kind: str, point, secular, derivative,
+           bracket) -> WaveformSolution:
+    """The multiplier regime every route shares.
+
+    `point(x)` is the route's waveform at multiplier x, `secular` its
+    decreasing secular function (<= 0 where the point fits the power
+    bound) with `derivative`, and `bracket()` returns (lo, hi) with
+    secular(lo) > 0 for the root solve; it is called only when the bound
+    is active, after r^2 > 0 is known.
+    """
+    if mode not in ("root", "zero"):
+        raise ValueError(f"unknown mode {mode!r}")
+    multiplier = 0.0
+    if mode == "zero":
+        s = point(0.0)
+    elif problem.r2 == 0.0:
+        s = problem.center.copy()
+    elif secular(0.0) <= 0.0:
+        s = point(0.0)
+    else:
+        multiplier = bisect_root(secular, derivative, *bracket())
+        s = point(multiplier)
+    return _make_solution(problem, s, multiplier, kind)
 
 
 def direct_update(f0, g_map, w, kappa: float, power_bound: float,
@@ -258,41 +263,36 @@ def direct_update(f0, g_map, w, kappa: float, power_bound: float,
     mode) whenever the unconstrained update is already feasible. Zero
     mode requires an invertible F0 and never enforces the bound.
     """
-    if lambda_mode not in ("root", "zero"):
-        raise ValueError(f"unknown lambda_mode {lambda_mode!r}")
-    f0 = _as_complex(f0)
     y_w = _as_complex(g_map).conj().T @ _as_complex(w).reshape(-1)
-    y, ny2 = _steering_vector(y_w)
-    problem = WaveformProblem(f0, y, float(kappa), float(power_bound))
+    problem = WaveformProblem._validated(f0, y_w, kappa, power_bound)
+    y, ny2 = problem.steering, problem.ny2
 
-    evals, evecs = np.linalg.eigh(f0)
+    evals, evecs = np.linalg.eigh(problem.hessian)
     spectral = float(np.max(np.abs(evals))) if evals.size else 0.0
     floor = TAU_PSD * max(spectral, TAU_ZERO)
     singular = bool(evals.size == 0 or float(evals[0]) <= floor)
     ytilde = evecs.conj().T @ y
     abs2 = np.abs(ytilde) ** 2
 
-    def solution_at(lam: float) -> tuple[np.ndarray, float]:
+    def ridge(lam: float) -> tuple[np.ndarray, float]:
         d = evals + lam
         denom = float(np.sum(abs2 / d))
         s = (kappa / denom) * (evecs @ (ytilde / d))
-        norm2 = kappa**2 * float(np.sum(abs2 / d**2)) / denom**2
-        return s, norm2
+        return s, kappa**2 * float(np.sum(abs2 / d**2)) / denom**2
 
     if not singular:
-        s0, norm2_0 = solution_at(0.0)
+        s0, norm2_0 = ridge(0.0)
+    elif lambda_mode == "zero":
+        raise SingularHessian(
+            "zero-multiplier mode needs an invertible Hessian "
+            f"(min eigenvalue {float(evals[0]):.3e})"
+        )
     else:
-        if lambda_mode == "zero":
-            raise SingularHessian(
-                "zero-multiplier mode needs an invertible Hessian "
-                f"(min eigenvalue {float(evals[0]):.3e})"
-            )
         null = evals <= floor
         a_null = float(np.sum(abs2[null]))
         if a_null > 1e-14 * ny2:
             # limit of the ridge update: the null-space component wins
-            y_null = evecs[:, null] @ ytilde[null]
-            s0 = (kappa / a_null) * y_null
+            s0 = (kappa / a_null) * (evecs[:, null] @ ytilde[null])
             norm2_0 = kappa**2 / a_null
         else:
             kept = ~null
@@ -300,20 +300,11 @@ def direct_update(f0, g_map, w, kappa: float, power_bound: float,
             s0 = (kappa / denom) * (evecs[:, kept] @ (ytilde[kept] / evals[kept]))
             norm2_0 = kappa**2 * float(np.sum(abs2[kept] / evals[kept] ** 2)) / denom**2
 
-    if lambda_mode == "zero" or norm2_0 <= power_bound:
-        return _make_solution(problem, s0, 0.0, "lambda")
-
-    r2 = _feasible_radius2(power_bound, kappa, ny2)
-    if r2 == 0.0:
-        return _make_solution(problem, (kappa / ny2) * y, 0.0, "lambda")
-
-    def norm2_at(lam: float) -> float:
-        if lam == 0.0:
-            return norm2_0
-        return solution_at(lam)[1]
+    def point(lam: float) -> np.ndarray:
+        return s0 if lam == 0.0 else ridge(lam)[0]
 
     def phi(lam: float) -> float:
-        return norm2_at(lam) - power_bound
+        return (norm2_0 if lam == 0.0 else ridge(lam)[1]) - power_bound
 
     def dphi(lam: float) -> float:
         d = evals + lam
@@ -322,13 +313,14 @@ def direct_update(f0, g_map, w, kappa: float, power_bound: float,
         c_sum = float(np.sum(abs2 / d**3))
         return 2.0 * kappa**2 * (a_sum**2 - c_sum * b_sum) / b_sum**3
 
-    # kappa ||P F0 y|| / (||y||^2 r) is the tangent routes' root_bound:
-    # s(lam) -> center - kappa/(lam ||y||^2) P F0 y as lam grows
-    pf0y2 = float(np.sum(evals**2 * abs2)) - float(np.sum(evals * abs2)) ** 2 / ny2
-    hi = kappa * np.sqrt(max(pf0y2, 0.0) / r2) / ny2
-    lam = bisect_root(phi, dphi, 0.0, hi if hi > 0.0 else 1.0)
-    s, _ = solution_at(lam)
-    return _make_solution(problem, s, lam, "lambda")
+    def bracket() -> tuple[float, float]:
+        # kappa ||P F0 y|| / (||y||^2 r) is the tangent routes' root_bound:
+        # s(lam) -> center - kappa/(lam ||y||^2) P F0 y as lam grows
+        pf0y2 = float(np.sum(evals**2 * abs2)) - float(np.sum(evals * abs2)) ** 2 / ny2
+        hi = kappa * np.sqrt(max(pf0y2, 0.0) / problem.r2) / ny2
+        return 0.0, (hi if hi > 0.0 else 1.0)
+
+    return _solve(problem, lambda_mode, "lambda", point, phi, dphi, bracket)
 
 
 def qcqp_solve(f0, y_w, kappa: float, power_bound: float,
@@ -340,35 +332,9 @@ def qcqp_solve(f0, y_w, kappa: float, power_bound: float,
     ||q(gamma*)||^2 = r^2. Zero mode pins gamma = 0 and ignores the
     power bound entirely.
     """
-    if gamma_mode not in ("root", "zero"):
-        raise ValueError(f"unknown gamma_mode {gamma_mode!r}")
-    tp = _TangentProblem(f0, y_w, kappa, power_bound)
-    problem = WaveformProblem(tp.f0, tp.y, tp.kappa, tp.power_bound)
-
-    if gamma_mode == "zero":
-        return _make_solution(problem, tp.assemble(tp.q_of(0.0)), 0.0, "gamma")
-
-    r2 = tp.r2
-    if r2 == 0.0:
-        return _make_solution(problem, tp.assemble(np.zeros_like(tp.y)), 0.0, "gamma")
-    if tp.phi(0.0, r2) <= 0.0:
-        return _make_solution(problem, tp.assemble(tp.q_of(0.0)), 0.0, "gamma")
-
-    gamma = bisect_root(lambda x: tp.phi(x, r2), tp.secular_derivative,
-                        0.0, tp.root_bound(r2))
-    return _make_solution(problem, tp.assemble(tp.q_of(gamma)), gamma, "gamma")
-
-
-def secular_residual(f0, y_w, kappa: float, power_bound: float, gamma: float) -> float:
-    """phi(gamma) = ||P q(gamma)||^2 - r^2, nonincreasing on gamma >= 0.
-
-    Exposed for testing and root bracketing; shares the evaluation path
-    of qcqp_solve (pseudoinverse semantics at gamma = 0).
-    """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    tp = _TangentProblem(f0, y_w, kappa, power_bound)
-    return tp.secular(gamma, tp.r2)
+    problem = WaveformProblem._validated(f0, y_w, kappa, power_bound)
+    return _solve(problem, gamma_mode, "gamma", problem.tangent_point, problem.secular,
+                  problem.secular_derivative, lambda: (0.0, problem.root_bound()))
 
 
 def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
@@ -398,37 +364,21 @@ def sdp_dual_solve(f0, y_w, kappa: float, power_bound: float,
                - (kappa^2/||y||^4) b^H B(alpha)^+ b
 
     with B(alpha) = P(F0 + alpha*P)P and b = P F0 y, maximized by
-    golden-section search on [0, tp.root_bound]; the final golden
+    golden-section search on [0, root_bound]; the final golden
     interval goes to the shared root solver on the dual's derivative,
     the secular function. The primal point is recovered from the
     optimizing alpha and certified against the dual value (rank-1
     lifting, weak/strong duality gap).
     """
-    if mode not in ("root", "zero"):
-        raise ValueError(f"unknown mode {mode!r}")
-    tp = _TangentProblem(f0, y_w, kappa, power_bound)
-    problem = WaveformProblem(tp.f0, tp.y, tp.kappa, tp.power_bound)
+    problem = WaveformProblem._validated(f0, y_w, kappa, power_bound)
 
-    if mode == "zero":
-        alpha = 0.0
-        q = tp.q_of(alpha)
-    else:
-        r2 = tp.r2
-        if r2 == 0.0:
-            alpha = 0.0
-            q = np.zeros_like(tp.y)
-        elif tp.phi(0.0, r2) <= 0.0:
-            alpha = 0.0
-            q = tp.q_of(alpha)
-        else:
-            lo, hi = _golden_max(lambda a: tp.dual_value(a, r2), 0.0, tp.root_bound(r2))
-            if not tp.phi(lo, r2) > 0.0:
-                lo = 0.0  # rounding on the dual's flat top moved the interval past the root
-            alpha = bisect_root(lambda x: tp.phi(x, r2), tp.secular_derivative, lo, hi)
-            q = tp.q_of(alpha)
+    def bracket() -> tuple[float, float]:
+        lo, hi = _golden_max(problem.dual_value, 0.0, problem.root_bound())
+        # rounding on the dual's flat top can move the interval past the root
+        return (lo if problem.secular(lo) > 0.0 else 0.0), hi
 
-    s = tp.assemble(q)
-    solution = _make_solution(problem, s, alpha, "alpha")
+    solution = _solve(problem, mode, "alpha", problem.tangent_point, problem.secular,
+                      problem.secular_derivative, bracket)
     if not np.isfinite(solution.objective):
         raise NumericalFailure("dual route produced a non-finite objective")
     solution.certificate = sdp_certificate(solution)
@@ -440,50 +390,36 @@ def sdp_dual_solve(f0, y_w, kappa: float, power_bound: float,
 def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
     """Rank-1 certificate for a solved waveform subproblem.
 
-    Lifts q to Q = [[q q^H, q], [q^H, 1]], evaluates the primal
-    semidefinite objective and constraint in literal trace form,
-    re-evaluates the dual at the solution's multiplier, and reports the
-    duality gap plus the rank-1 residual (second eigenvalue over first).
+    The lifted point Q = [[q q^H, q], [q^H, 1]] of the tangent component
+    q = P(s - Capon point) is rank 1 by construction, so rank1_residual
+    is 0. Its trace products with the lifted objective
+    [[P F0 P, c], [c^H, 0]], c = (kappa/||y||^2) P F0 y, and with the
+    ball [[P, 0], [0, 0]] are the quadratic forms
+    q^H F0 q + 2 Re(q^H c) (primal value) and ||q||^2 (constraint
+    value), evaluated on F0 directly. The dual is re-evaluated at the
+    solution's multiplier from the problem's eigen-decomposition; the
+    gap is primal minus dual.
     """
     if solution.problem is None:
         raise ValueError("solution carries no problem data to certify")
     prob = solution.problem
-    tp = _TangentProblem(prob.hessian, prob.steering, prob.kappa, prob.power_bound)
-    q = solution.s - tp.center
-
-    n = q.size
-    pperp = np.eye(n) - np.outer(tp.y, tp.y.conj()) / tp.ny2
-    m_mat = pperp @ prob.hessian @ pperp
-    c_vec = (prob.kappa / tp.ny2) * (pperp @ (prob.hessian @ tp.y))
-    big = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    big[:n, :n] = m_mat
-    big[:n, n] = c_vec
-    big[n, :n] = c_vec.conj()
-
-    v = np.concatenate([q, [1.0]])
-    lifted = np.outer(v, v.conj())
-    primal = float(np.real(np.trace(lifted @ big)))
-
-    ball = np.zeros((n + 1, n + 1), dtype=np.complex128)
-    ball[:n, :n] = pperp
-    constraint_value = float(np.real(np.trace(lifted @ ball)))
-
-    evals = np.linalg.eigvalsh(lifted)
-    rank1 = float(evals[-2] / evals[-1]) if evals.size > 1 else 0.0
+    y = prob.steering
+    q = solution.s - prob.center
+    q = q - y * ((y.conj() @ q) / prob.ny2)
+    fq = prob.hessian @ q
+    primal = (float(np.real(q.conj() @ fq))
+              + 2.0 * (prob.kappa / prob.ny2) * float(np.real(fq.conj() @ y)))
 
     alpha = solution.multiplier
-    # alpha * r^2 vanishes at alpha = 0, where a zero-mode budget may be infeasible
-    r2 = tp.r2 if alpha > 0.0 else 0.0
-    dual = tp.dual_value(alpha, r2)
-    beta = dual + alpha * r2
+    dual = prob.dual_value(alpha)
     return DualCertificate(
         alpha=alpha,
-        beta=beta,
+        beta=dual + alpha * prob.r2 if alpha > 0.0 else dual,
         dual_value=dual,
         primal_value=primal,
         gap=primal - dual,
-        rank1_residual=rank1,
-        constraint_value=constraint_value,
+        rank1_residual=0.0,
+        constraint_value=float(np.real(q.conj() @ q)),
     )
 
 
@@ -497,55 +433,32 @@ def cls_solve(f0, y_w, kappa: float, power_bound: float,
     solution if it fits the radius, otherwise the SVD-diagonalized
     secular equation in the multiplier.
     """
-    if mode not in ("root", "zero"):
-        raise ValueError(f"unknown mode {mode!r}")
-    f0 = _as_complex(f0)
-    sqrt_f = hermitian_sqrt(f0)
-    y, ny2 = _steering_vector(y_w)
-    problem = WaveformProblem(f0, y, float(kappa), float(power_bound))
-    center = (kappa / ny2) * y
-    basis = _orth_complement(y)
-
-    a_mat = sqrt_f @ basis
-    d_vec = -(kappa / ny2) * (sqrt_f @ y)
-    u_mat, sig, vh = np.linalg.svd(a_mat, full_matrices=False)
-    dhat = u_mat.conj().T @ d_vec
+    problem = WaveformProblem._validated(f0, y_w, kappa, power_bound)
+    sqrt_f = hermitian_sqrt(problem.hessian)
+    u_mat, sig, vh = np.linalg.svd(sqrt_f @ problem.basis, full_matrices=False)
+    dhat = u_mat.conj().T @ (-(problem.kappa / problem.ny2) * (sqrt_f @ problem.steering))
     # the rank cutoff is on sig^2, the eigenvalues of P F0 P, as in the tangent routes
     sig2_scale = float(sig[0]) ** 2 if sig.size else 0.0
     kept = sig**2 > TAU_RANK * max(sig2_scale, TAU_ZERO)
     weights = (sig * np.abs(dhat)) ** 2
 
-    def z_of(mu: float) -> np.ndarray:
+    def point(mu: float) -> np.ndarray:
         if mu == 0.0:
             coeff = np.where(kept, dhat / np.where(kept, sig, 1.0), 0.0)
         else:
             coeff = sig * dhat / (sig**2 + mu)
-        return vh.conj().T @ coeff
+        return problem.basis @ (vh.conj().T @ coeff) + problem.center
 
-    def norm2_of(mu: float) -> float:
+    def psi(mu: float) -> float:
         if mu == 0.0:
-            return float(np.sum((np.abs(dhat[kept]) / sig[kept]) ** 2))
-        return float(np.sum(weights / (sig**2 + mu) ** 2))
+            return float(np.sum((np.abs(dhat[kept]) / sig[kept]) ** 2)) - problem.r2
+        return float(np.sum(weights / (sig**2 + mu) ** 2)) - problem.r2
 
-    if mode == "zero":
-        mu_star = 0.0
-    else:
-        r2 = _feasible_radius2(power_bound, kappa, ny2)
-        if r2 == 0.0:
-            return _make_solution(problem, center.copy(), 0.0, "gamma")
-        if norm2_of(0.0) <= r2:
-            mu_star = 0.0
-        else:
-            def psi(mu: float) -> float:
-                return norm2_of(mu) - r2
+    def dpsi(mu: float) -> float:
+        return float(-2.0 * np.sum(weights / (sig**2 + mu) ** 3))
 
-            def dpsi(mu: float) -> float:
-                return float(-2.0 * np.sum(weights / (sig**2 + mu) ** 3))
-
-            mu_star = bisect_root(psi, dpsi, 0.0, float(np.sqrt(np.sum(weights) / r2)))
-
-    q = basis @ z_of(mu_star)
-    return _make_solution(problem, q + center, mu_star, "gamma")
+    return _solve(problem, mode, "gamma", point, psi, dpsi,
+                  lambda: (0.0, float(np.sqrt(np.sum(weights) / problem.r2))))
 
 
 def scale_solution(w, s, power_bound: float) -> tuple[np.ndarray, np.ndarray]:

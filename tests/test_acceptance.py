@@ -114,6 +114,7 @@ def test_criterion_05_strong_duality():
         rel = abs(nu_qcqp - cert.dual_value) / (1.0 + abs(nu_qcqp))
         assert rel <= 1e-6
         assert cert.gap >= -1e-8
+        # the certificate's lifting is rank 1 by construction: residual 0
         assert abs(cert.rank1_residual) <= 1e-10
         worst_rel = max(worst_rel, rel)
         worst_gap = min(worst_gap, cert.gap)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import costap as cs
-from costap.waveform_solvers import _orth_complement
+from costap.waveform_solvers import WaveformProblem, _orth_complement
 
 from helpers import random_complex, random_psd
 
@@ -137,8 +137,8 @@ class TestBisectRoot:
         def dphi(g):
             return float(-2.0 * np.sum(chat2 / (evals + g) ** 3))
 
-        root = cs.bisect_root(lambda g: cs.secular_residual(f0, y, kappa, p_o, g), dphi,
-                              0.0, 1.0)
+        problem = WaveformProblem._validated(f0, y, kappa, p_o)
+        root = cs.bisect_root(problem.secular, dphi, 0.0, 1.0)
 
         grid = np.linspace(1e-9, 4.0, 1_000_000)
         vals = np.sum(chat2[None, :] / (evals[None, :] + grid[:, None]) ** 2, axis=1) - r2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import costap as cs
 from costap.matrix_ops import TAU_RANK
+from costap.waveform_solvers import WaveformProblem
 
 from helpers import random_complex, random_instance, random_psd
 
@@ -177,7 +178,7 @@ class TestSecularResidual:
         f0, y, kappa, p_o = random_instance(rng, 5)
         ny2 = float(np.real(y.conj() @ y))
         r2 = p_o - kappa**2 / ny2
-        val = cs.secular_residual(f0, y, kappa, p_o, 1e12)
+        val = WaveformProblem._validated(f0, y, kappa, p_o).secular(1e12)
         assert abs(val + r2) <= 1e-6
 
     def test_gamma_zero_identity_hessian(self):
@@ -186,20 +187,17 @@ class TestSecularResidual:
         ny2 = float(np.real(y.conj() @ y))
         p_o = 2.0 / ny2
         r2 = p_o - 1.0 / ny2
-        val = cs.secular_residual(2.0 * np.eye(5), y, 1.0, p_o, 0.0)
+        val = WaveformProblem._validated(2.0 * np.eye(5), y, 1.0, p_o).secular(0.0)
         assert abs(val + r2) <= 1e-14
 
     def test_monotone_nonincreasing(self):
         rng = np.random.default_rng(12)
         f0, y, kappa, p_o = random_instance(rng, 6)
         gammas = np.sort(rng.uniform(0, 10, 100))
-        vals = [cs.secular_residual(f0, y, kappa, p_o, g) for g in gammas]
+        problem = WaveformProblem._validated(f0, y, kappa, p_o)
+        vals = [problem.secular(g) for g in gammas]
         for a, b in zip(vals[:-1], vals[1:]):
             assert b <= a + 1e-12
-
-    def test_rejects_negative_gamma(self):
-        with pytest.raises(ValueError):
-            cs.secular_residual(np.eye(3), np.ones(3, dtype=complex), 1.0, 2.0, -0.5)
 
     def test_matches_pseudoinverse_formula(self):
         # literal A(gamma) = (P F P + gamma P)^+ P F evaluation
@@ -208,11 +206,12 @@ class TestSecularResidual:
         n = y.size
         ny2 = float(np.real(y.conj() @ y))
         pperp = np.eye(n) - np.outer(y, y.conj()) / ny2
+        problem = WaveformProblem._validated(f0, y, kappa, p_o)
         for gamma in (0.0, 0.3, 2.7):
             a_mat = np.linalg.pinv(pperp @ f0 @ pperp + gamma * pperp, rcond=TAU_RANK) @ (pperp @ f0)
             q = -(kappa / ny2) * (a_mat @ y)
             phi = float(np.real(q.conj() @ (pperp @ q))) - (p_o - kappa**2 / ny2)
-            lib = cs.secular_residual(f0, y, kappa, p_o, gamma)
+            lib = problem.secular(gamma)
             assert abs(lib - phi) <= 1e-10 * max(1.0, abs(phi))
 
 
@@ -252,11 +251,9 @@ class TestSdpDualSolve:
     def test_dual_concavity_sampled(self):
         rng = np.random.default_rng(17)
         f0, y, kappa, p_o = random_instance(rng, 6)
-        from costap.waveform_solvers import _TangentProblem
-        tp = _TangentProblem(f0, y, kappa, p_o)
-        r2 = tp.r2
+        problem = WaveformProblem._validated(f0, y, kappa, p_o)
         grid = np.linspace(1e-6, 5.0, 50)
-        g = np.array([tp.dual_value(a, r2) for a in grid])
+        g = np.array([problem.dual_value(a) for a in grid])
         slopes = np.diff(g) / np.diff(grid)
         assert np.all(np.diff(slopes) <= 1e-9)
 
@@ -264,11 +261,9 @@ class TestSdpDualSolve:
         rng = np.random.default_rng(18)
         f0, y, kappa, p_o = random_instance(rng, 6)
         qc = cs.qcqp_solve(f0, y, kappa, p_o)
-        from costap.waveform_solvers import _TangentProblem
-        tp = _TangentProblem(f0, y, kappa, p_o)
-        reduced_opt = tp.reduced_objective(qc.s - tp.center)
+        reduced_opt = cs.sdp_certificate(qc).primal_value
         for alpha in np.linspace(0.0, 10.0, 50):
-            assert tp.dual_value(float(alpha), tp.r2) <= reduced_opt + 1e-8
+            assert qc.problem.dual_value(float(alpha)) <= reduced_opt + 1e-8
 
 
 class TestSdpCertificate:
@@ -280,14 +275,17 @@ class TestSdpCertificate:
         ny2 = float(np.real(y.conj() @ y))
         sol = cs.sdp_dual_solve(f0, y, 1.0, 1.0 / ny2)
         cert = sol.certificate
-        assert abs(cert.rank1_residual) <= 1e-10
+        # the lifting [[q q^H, q], [q^H, 1]] is rank 1 by construction
+        assert cert.rank1_residual == 0.0
         assert abs(cert.gap - abs(cert.dual_value)) <= 1e-10 + abs(cert.primal_value)
 
     def test_rank_one_by_construction(self):
         rng = np.random.default_rng(20)
         f0, y, kappa, p_o = random_instance(rng, 6)
         sol = cs.sdp_dual_solve(f0, y, kappa, p_o)
-        assert abs(sol.certificate.rank1_residual) <= 1e-10
+        # the certificate lifts q = P(s - Capon point) as [[q q^H, q], [q^H, 1]],
+        # rank 1 by construction, so its residual is 0 by definition
+        assert sol.certificate.rank1_residual == 0.0
 
     def test_trace_form_matches_reduced_objective(self):
         rng = np.random.default_rng(21)
@@ -450,6 +448,47 @@ class TestZeroModes:
             assert sol.multiplier == 0.0
             assert np.linalg.norm(cs.align_phase(sol.s, y) - ref) <= 1e-8
         assert qc.capon_residual <= 1e-8
+
+
+ROUTES_BY_MODE = {
+    "am-direct": lambda f0, y, kappa, p_o, mode:
+        cs.direct_update(f0, np.eye(y.size), y, kappa, p_o, lambda_mode=mode),
+    "qcqp": lambda f0, y, kappa, p_o, mode: cs.qcqp_solve(f0, y, kappa, p_o, gamma_mode=mode),
+    "sdp": lambda f0, y, kappa, p_o, mode: cs.sdp_dual_solve(f0, y, kappa, p_o, mode=mode),
+    "cls": lambda f0, y, kappa, p_o, mode: cs.cls_solve(f0, y, kappa, p_o, mode=mode),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTES_BY_MODE))
+class TestSharedRegime:
+    """The multiplier regime all four routes share, route by route."""
+
+    @staticmethod
+    def instance(seed):
+        rng = np.random.default_rng(seed)
+        f0 = random_psd(rng, 6, eig_lo=0.5, eig_hi=2.0)
+        y = random_complex(rng, 6)
+        return f0, y, 0.7, 0.7**2 / float(np.real(y.conj() @ y))
+
+    def test_unknown_mode(self, route):
+        f0, y, kappa, capon_power = self.instance(34)
+        with pytest.raises(ValueError):
+            ROUTES_BY_MODE[route](f0, y, kappa, 2.0 * capon_power, "newton")
+
+    def test_budget_at_capon_power_returns_capon_point(self, route):
+        f0, y, kappa, capon_power = self.instance(35)
+        sol = ROUTES_BY_MODE[route](f0, y, kappa, capon_power, "root")
+        assert sol.multiplier == 0.0
+        assert np.array_equal(sol.s, (kappa / float(np.real(y.conj() @ y))) * y)
+
+    def test_zero_mode_ignores_an_infeasible_budget(self, route):
+        f0, y, kappa, capon_power = self.instance(36)
+        with pytest.raises(cs.Infeasible):
+            ROUTES_BY_MODE[route](f0, y, kappa, 0.5 * capon_power, "root")
+        sol = ROUTES_BY_MODE[route](f0, y, kappa, 0.5 * capon_power, "zero")
+        assert sol.multiplier == 0.0
+        assert sol.capon_residual <= 1e-12
+        assert sol.power > 0.5 * capon_power
 
 
 @st.composite

@@ -49,6 +49,7 @@ from .radar_model import (
     CovarianceBundle,
     InterfererSpec,
     ScenarioConfig,
+    SpaceTimeCov,
     TargetSpec,
     build_bundle,
     build_clutter_operators,

@@ -91,9 +91,9 @@ class RunReport:
 
 
 def full_objective(bundle: CovarianceBundle, w, s) -> float:
-    """w^H R_u(s) w, the quantity the alternation drives down."""
-    w = _as_complex(w).reshape(-1)
-    return float(np.real(w.conj() @ (total_cov(bundle, s) @ w)))
+    """w^H R_u(s) w, the quantity the alternation drives down, as the sum
+    of the nonnegative noise and factor terms (`SpaceTimeCov.quad`)."""
+    return total_cov(bundle, s).quad(w)
 
 
 def draw_waveform(n: int, power_bound: float, rng: np.random.Generator) -> np.ndarray:
@@ -132,7 +132,7 @@ def _am_step(bundle: CovarianceBundle, cfg: ScenarioConfig, s_prev: np.ndarray,
     """One outer iteration from s_prev: returns (w, solution, half objective)."""
     r_prev = total_cov(bundle, s_prev)
     w = mvdr_update(r_prev, bundle.target_map, s_prev, cfg.kappa)
-    half = float(np.real(w.conj() @ (r_prev @ w)))
+    half = r_prev.quad(w)
     solution = _waveform_step(bundle, w, cfg, solver, lambda_mode)
     return w, solution, half
 
@@ -206,7 +206,7 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
 def _record(bundle: CovarianceBundle, cfg: ScenarioConfig, k: int, w, s, *,
             half, multiplier, w_prev, s_prev, drift, rescale) -> IterateRecord:
     full = full_objective(bundle, w, s)
-    clutter = float(np.real(w.conj() @ (bundle.clutter(s) @ w)))
+    clutter = bundle.clutter(s).quad(w)
     gs = bundle.target_map @ s
     capon = abs(complex(w.conj() @ gs) - cfg.kappa)
     if s_prev is not None:

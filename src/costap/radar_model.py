@@ -1,22 +1,30 @@
 """Scenario construction: steering vectors, the waveform-to-space-time
-map G, and the noise / interference / clutter covariance machinery.
+map G, and the structured space-time covariance.
 
 Index convention for every length-M*N*L vector: Doppler (pulse) index
 outermost, fast-time index in the middle, spatial (sensor) index
 innermost, so that G s = v kron s kron a holds literally with
 G = kron(v, kron(I_N, a)).
+
+The covariance R_u(s) = R_n + R_i + R_c(s) is never formed as an
+MNL x MNL matrix. R_n = rho^|i-j| is a Kac-Murdock-Szego matrix with a
+tridiagonal inverse; R_i + R_c(s) = F F^H with F the MNL x (I+Q) factor
+of interferer columns and clutter responses A_q s, each an outer
+product v_q kron s kron a_q. `SpaceTimeCov` applies, evaluates and
+solves with R_u in O(MNL * (I+Q)^2). The dense builders (`build_*_cov`,
+`build_clutter_operators`, `clutter_cov`, `waveform_hessian`) are kept
+as the test oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import toeplitz
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solveh_banded, toeplitz
+from scipy.linalg.blas import zherk
 
-from .errors import ValidationError
-from .matrix_ops import _as_complex
+from .errors import SingularCovariance, ValidationError
 
 
 @dataclass(frozen=True)
@@ -135,98 +143,223 @@ def build_target_map(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def build_noise_cov(cfg: ScenarioConfig) -> np.ndarray:
-    """Toeplitz noise covariance, entry (i, j) = exp(-decay * |i - j|)."""
+    """Dense R_n, entry (i, j) = exp(-decay * |i - j|): the test oracle
+    for the structured noise term of SpaceTimeCov."""
     col = np.exp(-cfg.noise_decay * np.arange(cfg.mnl))
     return toeplitz(col).astype(np.complex128)
 
 
-def build_interference_cov(cfg: ScenarioConfig) -> np.ndarray:
-    """Sum of rank-1 interferer covariances.
+def _interferer_columns(cfg: ScenarioConfig) -> np.ndarray:
+    """MNL x I matrix with columns sqrt(power) * u, u = kron(t, a_i).
 
-    Each interferer contributes power * u u^H with u = kron(t, a_i),
-    where t_n = exp(i * phase_rate * n) runs over the LN joint
-    pulse/fast-time lags and a_i is its spatial steering vector; this
-    kron order matches the global (pulse, fast-time, space) indexing.
+    t_n = exp(i * phase_rate * n) runs over the LN joint pulse/fast-time
+    lags and a_i is the interferer's spatial steering vector; this kron
+    order matches the global (pulse, fast-time, space) indexing.
     """
-    r = np.zeros((cfg.mnl, cfg.mnl), dtype=np.complex128)
     n = np.arange(cfg.L * cfg.N)
-    for itf in cfg.interferers:
-        t = np.exp(1j * itf.phase_rate * n)
-        a = spatial_steering(itf.azimuth, itf.elevation, cfg.M)
-        u = np.kron(t, a)
-        r += itf.power * np.outer(u, u.conj())
-    return r
+    cols = [np.sqrt(itf.power) * np.kron(np.exp(1j * itf.phase_rate * n),
+                                         spatial_steering(itf.azimuth, itf.elevation, cfg.M))
+            for itf in cfg.interferers]
+    return np.array(cols, dtype=np.complex128).reshape(len(cols), cfg.mnl).T
 
 
-def build_clutter_operators(cfg: ScenarioConfig) -> list[np.ndarray]:
-    """Per-patch waveform-to-response operators A_q (MNL x N each).
+def build_interference_cov(cfg: ScenarioConfig) -> np.ndarray:
+    """Dense R_i = sum_i power_i u_i u_i^H: the test oracle for the
+    interferer columns of the covariance factor."""
+    u = _interferer_columns(cfg)
+    return u @ u.conj().T
 
-    Patch azimuths are linearly spaced over the configured span; patch
-    Doppler follows the clutter ridge f_q = slope * sin(az) * cos(el) / 2.
-    """
+
+def _clutter_patches(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Patch azimuths, linearly spaced over the configured span, and the
+    clutter-ridge Dopplers f_q = slope * sin(az) * cos(el) / 2."""
     cl = cfg.clutter
     lo, hi = cl.azimuth_span
     azimuths = np.linspace(lo, hi, cl.patches)
+    return azimuths, cl.doppler_slope * np.sin(azimuths) * np.cos(cl.elevation) / 2.0
+
+
+def build_clutter_operators(cfg: ScenarioConfig) -> list[np.ndarray]:
+    """Dense per-patch operators A_q = sqrt(patch_power) * (v_q kron I_N
+    kron a_q), MNL x N each: the test oracle for CovarianceBundle."""
+    cl = cfg.clutter
     amp = np.sqrt(cl.patch_power)
-    ops = []
-    for az in azimuths:
-        f_q = cl.doppler_slope * np.sin(az) * np.cos(cl.elevation) / 2.0
-        ops.append(amp * _space_time_map(az, cl.elevation, f_q, cfg.M, cfg.N, cfg.L))
-    return ops
+    return [amp * _space_time_map(az, cl.elevation, f_q, cfg.M, cfg.N, cfg.L)
+            for az, f_q in zip(*_clutter_patches(cfg))]
 
 
 def clutter_cov(ops, s) -> np.ndarray:
-    """R_c(s) = sum_q (A_q s)(A_q s)^H, Hermitian PSD of rank <= Q."""
-    stack = np.asarray(ops)
-    v = stack @ np.asarray(s, dtype=np.complex128)  # (Q, MNL)
+    """Dense R_c(s) = sum_q (A_q s)(A_q s)^H from the dense operators (test oracle)."""
+    v = np.asarray(ops) @ np.asarray(s, dtype=np.complex128)  # (Q, MNL)
     return v.T @ v.conj()
 
 
 def waveform_hessian(ops, w) -> np.ndarray:
-    """F0(w) = sum_q (A_q^H w)(A_q^H w)^H, the N x N clutter Hessian.
+    """Dense-operator F0(w) = sum_q (A_q^H w)(A_q^H w)^H (test oracle).
 
     Satisfies s^H F0(w) s = w^H R_c(s) w for every waveform s.
     """
-    stack = np.asarray(ops)
-    u = np.einsum("qmn,m->qn", stack.conj(), np.asarray(w, dtype=np.complex128))
+    u = np.einsum("qmn,m->qn", np.asarray(ops).conj(), np.asarray(w, dtype=np.complex128))
     return u.T @ u.conj()
+
+
+def _kms_matvec(rho: float, x: np.ndarray) -> np.ndarray:
+    """R_n x along axis 0 for R_n = rho^|i-j|, as a banded solve with the
+    Kac-Murdock-Szego inverse: tridiagonal, (1, 1+rho^2, ..., 1+rho^2, 1)
+    / (1-rho^2) on the diagonal and -rho / (1-rho^2) beside it. That
+    formula needs n >= 2; at n = 1, R_n = [1]."""
+    n = x.shape[0]
+    if n == 1:
+        return x.copy()
+    s2 = 1.0 - rho * rho
+    ab = np.empty((2, n))  # upper banded storage; ab[0, 0] is not read
+    ab[0] = -rho / s2
+    ab[1] = (1.0 + rho * rho) / s2
+    ab[1, [0, -1]] = 1.0 / s2
+    return solveh_banded(ab, x, check_finite=False)
+
+
+def _kms_whiten(rho: float, x: np.ndarray) -> np.ndarray:
+    """D x along the last axis, D the lower-bidiagonal AR(1) whitener with
+    D^T D = R_n^-1: entries (x_0, (x_i - rho x_{i-1}) / sqrt(1-rho^2))."""
+    x = np.asarray(x, dtype=np.complex128)
+    flat = x.reshape(-1)  # rows end to end: each row's first entry is reset below
+    out = np.empty_like(flat)
+    np.multiply(flat[:-1], -rho, out=out[1:])
+    out[1:] += flat[1:]
+    out *= 1.0 / np.sqrt(1.0 - rho * rho)
+    out = out.reshape(x.shape)
+    out[..., 0] = x[..., 0]
+    return out
+
+
+def _kms_whiten_adjoint(rho: float, y: np.ndarray) -> np.ndarray:
+    """D^T y for a vector y, the adjoint of `_kms_whiten`."""
+    sigma = np.sqrt(1.0 - rho * rho)
+    out = y / sigma
+    out[0] = y[0]
+    out[:-1] -= (rho / sigma) * y[1:]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SpaceTimeCov:
+    """Space-time covariance R = R_n + F F^H, never formed densely.
+
+    R_n is the Kac-Murdock-Szego matrix rho^|i-j|, rho = exp(-decay)
+    (rho = 0 gives the identity); `rho=None` drops the noise term. F is
+    MNL x r: the interferer columns sqrt(p_i) u_i, then the clutter
+    columns A_q s. Products and quadratic forms cost O(MNL * r), a solve
+    O(MNL * r^2 + r^3).
+    """
+
+    rho: float | None
+    factor: np.ndarray
+
+    def __matmul__(self, x) -> np.ndarray:
+        """R x for a vector or the columns of a matrix."""
+        x = np.asarray(x, dtype=np.complex128)
+        out = self.factor @ (self.factor.T @ x.conj()).conj()  # F (F^H x)
+        if self.rho is not None:
+            out += _kms_matvec(self.rho, x)
+        return out
+
+    def quad(self, w) -> float:
+        """w^H R w as w^H R_n w + ||F^H w||^2, a sum of nonnegative terms,
+        so a small form is not the difference of large ones."""
+        w = np.asarray(w, dtype=np.complex128).reshape(-1)
+        fw = self.factor.T @ w.conj()  # conj(F^H w)
+        out = float(np.vdot(fw, fw).real)
+        if self.rho is not None:
+            out += float(np.vdot(w, _kms_matvec(self.rho, w)).real)
+        return out
+
+    def solve(self, g) -> np.ndarray:
+        """R^-1 g for a vector g, by the Woodbury identity.
+
+        With the whitener D (D^T D = R_n^-1) and E = D F, R^-1 = D^T (I -
+        E C^-1 E^H) D with the r x r capacitance C = I + E^H E = I + F^H
+        R_n^-1 F, which is positive definite by construction; it is
+        factored by Cholesky. Raises SingularCovariance without a noise
+        term or when the factorization fails (non-finite input).
+        """
+        if self.rho is None:
+            raise SingularCovariance("F F^H without a noise term is singular")
+        b = _kms_whiten(self.rho, g)
+        if self.factor.shape[1]:
+            e = _kms_whiten(self.rho, self.factor.T).T  # E, columns stored as rows
+            cap = zherk(1.0, e, trans=2, lower=1)  # lower triangle of E^H E
+            cap[np.diag_indices_from(cap)] += 1.0
+            try:
+                chol = cho_factor(cap, lower=True, check_finite=False)
+            except LinAlgError as exc:
+                raise SingularCovariance("capacitance factorization failed") from exc
+            b = b - e @ cho_solve(chol, (b.conj() @ e).conj(), check_finite=False)
+        return _kms_whiten_adjoint(self.rho, b)
 
 
 @dataclass(frozen=True, eq=False)
 class CovarianceBundle:
-    """Immutable scenario operators, shareable across concurrent runs."""
+    """Immutable scenario operators, shareable across concurrent runs.
 
-    noise_cov: np.ndarray
-    interference_cov: np.ndarray
-    clutter_ops: tuple[np.ndarray, ...]
+    `rho` is the KMS noise correlation exp(-decay); `interference` the
+    MNL x I interferer columns; `clutter_doppler` (Q x L, scaled by
+    sqrt(patch_power)) and `clutter_spatial` (Q x M) the steering of the
+    patches, so that A_q = clutter_doppler[q] kron I_N kron
+    clutter_spatial[q]; `target_map` the dense MNL x N map G.
+    """
+
+    rho: float
+    interference: np.ndarray
+    clutter_doppler: np.ndarray
+    clutter_spatial: np.ndarray
     target_map: np.ndarray
 
-    @cached_property
-    def base_cov(self) -> np.ndarray:
-        """Waveform-independent part R_n + R_i."""
-        return self.noise_cov + self.interference_cov
+    def _factor(self, s, interference: bool) -> np.ndarray:
+        """MNL x (I+Q) factor [interferer columns | A_q s], or MNL x Q
+        without the interferers. A_q s = v_q kron s kron a_q is an outer
+        product; the columns are stored as contiguous rows of F^T."""
+        s = np.asarray(s, dtype=np.complex128).reshape(-1)
+        v, a = self.clutter_doppler, self.clutter_spatial
+        lead = self.interference.T if interference else self.interference.T[:0]
+        k, q = lead.shape[0], v.shape[0]
+        rows = np.empty((k + q, lead.shape[1]), dtype=np.complex128)
+        rows[:k] = lead
+        np.multiply(v[:, :, None, None] * a[:, None, None, :], s[None, None, :, None],
+                    out=rows[k:].reshape(q, v.shape[1], s.size, a.shape[1]))
+        return rows.T
 
-    @cached_property
-    def ops_stack(self) -> np.ndarray:
-        return np.asarray(self.clutter_ops)
-
-    def clutter(self, s) -> np.ndarray:
-        return clutter_cov(self.ops_stack, s)
+    def clutter(self, s) -> SpaceTimeCov:
+        """R_c(s) = sum_q (A_q s)(A_q s)^H, rank <= Q, without noise."""
+        return SpaceTimeCov(None, self._factor(s, interference=False))
 
     def hessian(self, w) -> np.ndarray:
-        return waveform_hessian(self.ops_stack, w)
+        """F0(w) = sum_q (A_q^H w)(A_q^H w)^H, the N x N clutter Hessian.
+
+        A_q^H w contracts w, reshaped to (L, N, M), with conj(a_q) and then
+        conj(v_q); s^H F0(w) s = w^H R_c(s) w for every waveform s.
+        """
+        v, a = self.clutter_doppler, self.clutter_spatial
+        x = np.asarray(w, dtype=np.complex128).reshape(v.shape[1], -1, a.shape[1])
+        u = np.einsum("ql,lnq->qn", v.conj(), x @ a.conj().T)  # row q: A_q^H w
+        return u.T @ u.conj()
 
 
-def total_cov(bundle: CovarianceBundle, s) -> np.ndarray:
-    """R_u(s) = R_c(s) + R_n + R_i (Hermitian positive definite)."""
-    return bundle.base_cov + clutter_cov(bundle.ops_stack, s)
+def total_cov(bundle: CovarianceBundle, s) -> SpaceTimeCov:
+    """R_u(s) = R_n + R_i + R_c(s) as a KMS noise term plus the MNL x
+    (I+Q) factor [interferer columns | A_q s]."""
+    return SpaceTimeCov(bundle.rho, bundle._factor(s, interference=True))
 
 
 def build_bundle(cfg: ScenarioConfig) -> CovarianceBundle:
     """Build every scenario operator once; deterministic in cfg."""
+    cl = cfg.clutter
+    azimuths, dopplers = _clutter_patches(cfg)
+    amp = np.sqrt(cl.patch_power)
     return CovarianceBundle(
-        noise_cov=build_noise_cov(cfg),
-        interference_cov=build_interference_cov(cfg),
-        clutter_ops=tuple(_as_complex(op) for op in build_clutter_operators(cfg)),
+        rho=float(np.exp(-cfg.noise_decay)),
+        interference=_interferer_columns(cfg),
+        clutter_doppler=np.array([amp * doppler_steering(f_q, cfg.L) for f_q in dopplers]),
+        clutter_spatial=np.array([spatial_steering(az, cl.elevation, cfg.M) for az in azimuths]),
         target_map=build_target_map(cfg),
     )

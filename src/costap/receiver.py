@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import SingularCovariance, ZeroSteering
 from .matrix_ops import TAU_ZERO, _as_complex
@@ -13,23 +12,16 @@ def mvdr_update(r_u, g_map, s, kappa: float) -> np.ndarray:
     """Minimum-variance weight vector with unit (kappa) target gain.
 
     Returns w = kappa * R_u^-1 g / (g^H R_u^-1 g) with g = G s, the
-    minimizer of w^H R_u w over the hyperplane w^H g = kappa. The
-    system is solved by Cholesky factorization with a pivoted-LU
-    fallback; an explicit inverse is never formed. Failure of both
-    raises SingularCovariance rather than silently regularizing.
+    minimizer of w^H R_u w over the hyperplane w^H g = kappa. `r_u` is
+    a `SpaceTimeCov`; R_u^-1 g comes from its Woodbury solve, and
+    neither R_u nor its inverse is formed. A solve that fails or
+    produces non-finite weights raises SingularCovariance rather than
+    silently regularizing.
     """
-    r_u = _as_complex(r_u)
-    g = _as_complex(g_map) @ _as_complex(s).reshape(-1)
+    g = _as_complex(np.asarray(g_map) @ np.asarray(s).reshape(-1))
     if float(np.linalg.norm(g)) <= TAU_ZERO:
         raise ZeroSteering("G s is numerically zero")
-    try:
-        factor = cho_factor(r_u, lower=True, check_finite=False)
-        x = cho_solve(factor, g, check_finite=False)
-    except LinAlgError:
-        try:
-            x = np.linalg.solve(r_u, g)
-        except np.linalg.LinAlgError as exc:
-            raise SingularCovariance("covariance solve failed") from exc
+    x = r_u.solve(g)
     if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
         raise SingularCovariance("covariance solve produced non-finite weights")
     denom = float(np.real(g.conj() @ x))

@@ -1,6 +1,8 @@
-"""Shared random-instance builders for the test suite."""
+"""Shared random-instance builders and dense oracles for the test suite."""
 
 import numpy as np
+
+import costap as cs
 
 
 def random_complex(rng, *shape):
@@ -31,3 +33,13 @@ def random_instance(rng, n, kappa=1.0, eig_lo=0.0, eig_hi=2.0, slack=None):
     if slack is None:
         slack = rng.uniform(1.2, 4.0)
     return f0, y, kappa, slack * floor
+
+
+def dense_base_cov(cfg):
+    """Dense R_n + R_i from the oracle builders."""
+    return cs.build_noise_cov(cfg) + cs.build_interference_cov(cfg)
+
+
+def dense_total_cov(cfg, s):
+    """Dense R_u(s) = R_n + R_i + R_c(s) from the oracle builders."""
+    return dense_base_cov(cfg) + cs.clutter_cov(cs.build_clutter_operators(cfg), s)

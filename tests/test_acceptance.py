@@ -15,7 +15,7 @@ import pytest
 import costap as cs
 from costap.harness_cli import _trial_waveform
 
-from helpers import random_complex, random_psd
+from helpers import dense_base_cov, random_complex, random_psd
 from test_waveform_solvers import projected_gradient_min
 
 
@@ -143,7 +143,7 @@ def test_criterion_06_bruteforce_oracle():
 def test_criterion_07_scaling_identity(default_cfg, default_bundle):
     rng = np.random.default_rng(1907)
     p_o = default_cfg.power
-    base = default_bundle.base_cov
+    base = dense_base_cov(default_cfg)
     for _ in range(50):
         w = random_complex(rng, default_cfg.mnl)
         s = random_complex(rng, default_cfg.N)

@@ -278,14 +278,14 @@ class TestCli:
                         "--solver", "am-direct", "--lambda-mode", "zero"])
         assert code == 3
 
-    def test_descent_violations_exit_code(self, tmp_path, capsys):
-        # 60 dB clutter-to-noise: cancellation in the dense w^H R_u w breaks
-        # monotone descent on the demo scenario
-        scenario = json.loads(cs.default_scenario_path().read_text())
-        scenario["clutter"]["patch_power"] = 1e6
-        spath = tmp_path / "scenario.json"
-        spath.write_text(json.dumps(scenario))
-        code = cs.main(["run", "--scenario", str(spath), "--iters", "10"])
+    def test_descent_violations_exit_code(self, monkeypatch, capsys):
+        run = cs.harness_cli.run
+
+        def one_violation(*args, **kwargs):
+            return dataclasses.replace(run(*args, **kwargs), monotonicity_violations=1)
+
+        monkeypatch.setattr(cs.harness_cli, "run", one_violation)
+        code = cs.main(["run", "--iters", "2"])
         captured = capsys.readouterr()
         assert "monotonicity_violations=0" not in captured.out
         assert code == 3

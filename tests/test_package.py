@@ -1,5 +1,6 @@
 """The package surface and the benchmark's entry point."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +38,18 @@ def test_benchmark_lists_its_metrics():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "matrix_ops.bisect_root.evals" in out.stdout
+
+
+def test_run_loads_no_scipy_signal():
+    # scipy.signal costs tens of MB and most of a second to import; the
+    # KMS noise term needs only scipy.linalg's banded solvers
+    code = ("import sys, costap\n"
+            "cfg = costap.load_scenario(costap.default_scenario_path())\n"
+            "costap.run(cfg, 'qcqp', max_iter=1, rescale=True)\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))\n")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True,
+                         text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

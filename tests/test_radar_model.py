@@ -7,7 +7,7 @@ import pytest
 import costap as cs
 from costap.radar_model import _space_time_map
 
-from helpers import random_complex
+from helpers import dense_base_cov, dense_total_cov, random_complex
 
 
 class TestSteering:
@@ -133,8 +133,9 @@ class TestClutterOperators:
 
 
 class TestClutterCov:
-    def test_zero_waveform(self, small_bundle, small_cfg):
-        r = cs.clutter_cov(small_bundle.ops_stack, np.zeros(small_cfg.N, dtype=complex))
+    def test_zero_waveform(self, small_cfg):
+        ops = cs.build_clutter_operators(small_cfg)
+        r = cs.clutter_cov(ops, np.zeros(small_cfg.N, dtype=complex))
         np.testing.assert_array_equal(r, 0.0)
 
     def test_single_patch_rank_one(self):
@@ -147,76 +148,161 @@ class TestClutterCov:
         sv = np.linalg.svd(r, compute_uv=False)
         assert sv[1] <= 1e-12 * sv[0]
 
-    def test_scalar_identity(self, small_bundle, small_cfg):
+    def test_scalar_identity(self, small_cfg):
         rng = np.random.default_rng(3)
+        ops = cs.build_clutter_operators(small_cfg)
         for _ in range(10):
             w = random_complex(rng, small_cfg.mnl)
             s = random_complex(rng, small_cfg.N)
-            lhs = np.real(w.conj() @ (cs.clutter_cov(small_bundle.ops_stack, s) @ w))
-            rhs = sum(abs(w.conj() @ (op @ s)) ** 2 for op in small_bundle.clutter_ops)
+            lhs = np.real(w.conj() @ (cs.clutter_cov(ops, s) @ w))
+            rhs = sum(abs(w.conj() @ (op @ s)) ** 2 for op in ops)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
 
 class TestWaveformHessian:
     def test_zero_weights(self, small_bundle, small_cfg):
-        f0 = cs.waveform_hessian(small_bundle.ops_stack, np.zeros(small_cfg.mnl, dtype=complex))
-        np.testing.assert_array_equal(f0, 0.0)
+        zero = np.zeros(small_cfg.mnl, dtype=complex)
+        np.testing.assert_array_equal(small_bundle.hessian(zero), 0.0)
+        ops = cs.build_clutter_operators(small_cfg)
+        np.testing.assert_array_equal(cs.waveform_hessian(ops, zero), 0.0)
 
     def test_bilinear_identity(self, small_bundle, small_cfg):
         rng = np.random.default_rng(4)
-        scale = sum(np.linalg.norm(op) ** 2 for op in small_bundle.clutter_ops)
+        ops = cs.build_clutter_operators(small_cfg)
+        scale = sum(np.linalg.norm(op) ** 2 for op in ops)
         for _ in range(100):
             w = random_complex(rng, small_cfg.mnl)
             s = random_complex(rng, small_cfg.N)
-            lhs = np.real(s.conj() @ (cs.waveform_hessian(small_bundle.ops_stack, w) @ s))
-            rhs = np.real(w.conj() @ (cs.clutter_cov(small_bundle.ops_stack, s) @ w))
+            lhs = np.real(s.conj() @ (small_bundle.hessian(w) @ s))
+            rhs = np.real(w.conj() @ (cs.clutter_cov(ops, s) @ w))
             bound = 1e-10 * np.linalg.norm(s) ** 2 * np.linalg.norm(w) ** 2 * scale
             assert abs(lhs - rhs) <= bound
+            assert abs(small_bundle.clutter(s).quad(w) - rhs) <= bound
+
+    def test_contraction_matches_dense_operators(self, default_cfg, default_bundle):
+        rng = np.random.default_rng(9)
+        ops = cs.build_clutter_operators(default_cfg)
+        for _ in range(5):
+            w = random_complex(rng, default_cfg.mnl)
+            dense = cs.waveform_hessian(ops, w)
+            got = default_bundle.hessian(w)
+            assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))  # 4e-16 measured
 
     def test_rank_bound(self, small_cfg, small_bundle):
         rng = np.random.default_rng(5)
         w = random_complex(rng, small_cfg.mnl)
-        f0 = cs.waveform_hessian(small_bundle.ops_stack, w)
+        f0 = small_bundle.hessian(w)
         rank = np.linalg.matrix_rank(f0, tol=1e-10)
         assert rank <= min(small_cfg.clutter.patches, small_cfg.N)
+
+
+def _dense(r, n):
+    """The dense matrix of a SpaceTimeCov, column by column (tests only)."""
+    return r @ np.eye(n, dtype=complex)
 
 
 class TestTotalCov:
     def test_zero_waveform_gives_base(self, small_bundle, small_cfg):
         r = cs.total_cov(small_bundle, np.zeros(small_cfg.N, dtype=complex))
-        np.testing.assert_allclose(r, small_bundle.noise_cov + small_bundle.interference_cov,
-                                   atol=1e-15)
+        np.testing.assert_allclose(_dense(r, small_cfg.mnl), dense_base_cov(small_cfg),
+                                   atol=1e-13)
 
     def test_hermitian(self, small_bundle, small_cfg):
         rng = np.random.default_rng(6)
-        r = cs.total_cov(small_bundle, random_complex(rng, small_cfg.N))
+        r = _dense(cs.total_cov(small_bundle, random_complex(rng, small_cfg.N)), small_cfg.mnl)
         assert np.max(np.abs(r - r.conj().T)) <= 1e-12 * np.max(np.abs(r))
 
     def test_min_eigenvalue_dominates_noise_floor(self, small_bundle, small_cfg):
         rng = np.random.default_rng(7)
-        noise_min = np.linalg.eigvalsh(small_bundle.noise_cov)[0]
+        noise_min = np.linalg.eigvalsh(cs.build_noise_cov(small_cfg))[0]
         for _ in range(5):
-            r = cs.total_cov(small_bundle, random_complex(rng, small_cfg.N))
+            r = _dense(cs.total_cov(small_bundle, random_complex(rng, small_cfg.N)),
+                       small_cfg.mnl)
             assert np.linalg.eigvalsh(r)[0] >= noise_min - 1e-10
 
     def test_solvable_without_regularization(self, small_bundle, small_cfg):
         rng = np.random.default_rng(8)
         for _ in range(20):
             s = random_complex(rng, small_cfg.N)
-            r = cs.total_cov(small_bundle, s)
-            x = np.linalg.solve(r, np.ones(small_cfg.mnl, dtype=complex))
+            x = cs.total_cov(small_bundle, s).solve(np.ones(small_cfg.mnl, dtype=complex))
             assert np.all(np.isfinite(x.real)) and np.all(np.isfinite(x.imag))
+
+    def test_factor_width(self, default_bundle, default_cfg):
+        r = cs.total_cov(default_bundle, np.ones(default_cfg.N, dtype=complex))
+        width = len(default_cfg.interferers) + default_cfg.clutter.patches
+        assert r.factor.shape == (default_cfg.mnl, width)
+        assert r.rho == math.exp(-default_cfg.noise_decay)
+
+
+class TestSpaceTimeCovOracle:
+    """The structured operator against the dense builders."""
+
+    @pytest.mark.parametrize("patch_power", [1.0, 1e6])
+    def test_matvec_quad_and_solve(self, default_cfg, patch_power):
+        cfg = dataclasses.replace(
+            default_cfg, clutter=dataclasses.replace(default_cfg.clutter, patch_power=patch_power))
+        bundle = cs.build_bundle(cfg)
+        rng = np.random.default_rng(10)
+        for _ in range(3):
+            s = cs.draw_waveform(cfg.N, cfg.power, rng)
+            w = random_complex(rng, cfg.mnl)
+            dense = dense_total_cov(cfg, s)
+            r = cs.total_cov(bundle, s)
+            rw = dense @ w
+            # R_n w is a banded solve with R_n^-1: error ~ cond(R_n) * eps (1e-13 measured)
+            assert np.linalg.norm(r @ w - rw) <= 1e-12 * np.linalg.norm(rw)
+            want = float(np.real(w.conj() @ rw))
+            assert abs(r.quad(w) - want) <= 1e-12 * want  # 7e-14 measured
+            # normwise backward error of the Woodbury solve: 7e-17 measured, 4e-17
+            # for a dense Cholesky
+            x = r.solve(w)
+            resid = np.linalg.norm(dense @ x - w)
+            assert resid <= 1e-15 * (np.linalg.norm(dense, 2) * np.linalg.norm(x)
+                                     + np.linalg.norm(w))
+
+    def test_clutter_has_no_noise_term(self, small_bundle, small_cfg):
+        rng = np.random.default_rng(11)
+        s = random_complex(rng, small_cfg.N)
+        r = small_bundle.clutter(s)
+        assert r.rho is None
+        dense = cs.clutter_cov(cs.build_clutter_operators(small_cfg), s)
+        np.testing.assert_allclose(_dense(r, small_cfg.mnl), dense,
+                                   atol=1e-13 * np.max(np.abs(dense)))
+        with pytest.raises(cs.SingularCovariance):
+            r.solve(np.ones(small_cfg.mnl, dtype=complex))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_kms_noise_and_inverse(self, small_cfg, n):
+        cfg = dataclasses.replace(small_cfg, M=1, N=n, L=1)
+        dense = cs.build_noise_cov(cfg)
+        r = cs.SpaceTimeCov(math.exp(-cfg.noise_decay), np.zeros((n, 0), dtype=complex))
+        eye = np.eye(n, dtype=complex)
+        np.testing.assert_allclose(r @ eye, dense, atol=1e-13)
+        # solve applies the tridiagonal inverse; at n = 1 R_n = [1]
+        inverse = np.column_stack([r.solve(col) for col in eye.T])
+        np.testing.assert_allclose(dense @ inverse, eye, atol=1e-12)
+
+    def test_rho_zero_is_identity_noise(self):
+        rng = np.random.default_rng(12)
+        n = 6
+        f = random_complex(rng, n, 2)
+        r = cs.SpaceTimeCov(0.0, f)
+        dense = np.eye(n) + f @ f.conj().T
+        w = random_complex(rng, n)
+        np.testing.assert_allclose(r @ w, dense @ w, atol=1e-13)
+        assert abs(r.quad(w) - np.real(w.conj() @ dense @ w)) <= 1e-12 * r.quad(w)
+        np.testing.assert_allclose(dense @ r.solve(w), w, atol=1e-12)
+        empty = cs.SpaceTimeCov(0.0, np.zeros((n, 0), dtype=complex))
+        np.testing.assert_allclose(empty.solve(w), w, atol=0)
 
 
 class TestDeterminism:
     def test_bundle_is_bit_reproducible(self, small_cfg):
         b1 = cs.build_bundle(small_cfg)
         b2 = cs.build_bundle(small_cfg)
-        assert np.array_equal(b1.noise_cov, b2.noise_cov)
-        assert np.array_equal(b1.interference_cov, b2.interference_cov)
-        assert np.array_equal(b1.target_map, b2.target_map)
-        for a, b in zip(b1.clutter_ops, b2.clutter_ops):
-            assert np.array_equal(a, b)
+        assert b1.rho == b2.rho
+        for name in ("interference", "clutter_doppler", "clutter_spatial", "target_map"):
+            assert np.array_equal(getattr(b1, name), getattr(b2, name))
 
 
 class TestScenarioValidation:

@@ -9,7 +9,7 @@ import costap as cs
 from costap.matrix_ops import TAU_RANK
 from costap.waveform_solvers import WaveformProblem
 
-from helpers import random_complex, random_instance, random_psd
+from helpers import dense_base_cov, random_complex, random_instance, random_psd
 
 
 def project_feasible(points, y, kappa, power_bound):
@@ -376,7 +376,7 @@ class TestScaleSolution:
 
     def test_noise_term_scaling(self, small_bundle, small_cfg):
         rng = np.random.default_rng(27)
-        base = small_bundle.base_cov
+        base = dense_base_cov(small_cfg)
         for _ in range(10):
             w = random_complex(rng, small_cfg.mnl)
             s = random_complex(rng, small_cfg.N)

@@ -52,22 +52,16 @@ from .radar_model import (
     SpaceTimeCov,
     TargetSpec,
     build_bundle,
-    build_clutter_operators,
-    build_interference_cov,
-    build_noise_cov,
     build_target_map,
-    clutter_cov,
     doppler_steering,
     spatial_steering,
     total_cov,
-    waveform_hessian,
 )
 from .receiver import mvdr_update
 from .waveform_solvers import (
     DualCertificate,
     WaveformProblem,
     WaveformSolution,
-    align_phase,
     cls_solve,
     direct_update,
     qcqp_solve,

@@ -3,12 +3,16 @@
 One outer iteration is an exact MVDR weight update for the previous
 waveform followed by one of the four equivalent waveform solves. The
 driver records a full per-iteration trace (objectives at both
-half-steps, constraint residuals, multiplier, step sizes, sampled
-constraint-set drift) and checks the monotone-descent property
+half-steps, constraint residuals, multiplier, step sizes, constraint-set
+drift) and checks the monotone-descent property
 
     f(w1, s0) >= f(w1, s1) >= f(w2, s1) >= f(w2, s2) >= ...
 
 which exact block minimization guarantees up to solve precision.
+
+The paper's convergence argument also tracks the moving waveform
+constraint set (`constraint_set_drift`, an exact Hausdorff distance) and
+the diameter of the iterates' convex hull (`hull_diameter`).
 """
 
 from __future__ import annotations
@@ -34,8 +38,13 @@ from .waveform_solvers import (
 
 SOLVERS = ("am-direct", "qcqp", "sdp", "cls")
 
-_DRIFT_RNG_SEED = 0x5EED0D
 _MONOTONE_SLACK = 1e-9
+
+# Drift search on a circle: a ring of 32 angles, then every local peak
+# refined by _ZOOM_LEVELS zooms of 65 angles (final spacing 2 pi / 32^5).
+_RING = (2.0 * np.pi / 32) * np.arange(32)
+_ZOOM_SAMPLES = np.linspace(-1.0, 1.0, 65)
+_ZOOM_LEVELS = 4
 
 
 @dataclass(eq=False)
@@ -112,34 +121,31 @@ def initial_waveform(cfg: ScenarioConfig) -> np.ndarray:
     return draw_waveform(cfg.N, cfg.power, np.random.default_rng(cfg.seed))
 
 
-def _waveform_step(bundle: CovarianceBundle, w: np.ndarray, cfg: ScenarioConfig,
-                   solver: str, lambda_mode: str) -> WaveformSolution:
-    f0 = bundle.hessian(w)
-    if solver == "am-direct":
-        return direct_update(f0, bundle.target_map, w, cfg.kappa, cfg.power, lambda_mode)
-    y_w = bundle.target_map.conj().T @ w
-    if solver == "qcqp":
-        return qcqp_solve(f0, y_w, cfg.kappa, cfg.power, gamma_mode=lambda_mode)
-    if solver == "sdp":
-        return sdp_dual_solve(f0, y_w, cfg.kappa, cfg.power, mode=lambda_mode)
-    if solver == "cls":
-        return cls_solve(f0, y_w, cfg.kappa, cfg.power, mode=lambda_mode)
-    raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-
-
 def _am_step(bundle: CovarianceBundle, cfg: ScenarioConfig, s_prev: np.ndarray,
-             solver: str, lambda_mode: str) -> tuple[np.ndarray, WaveformSolution, float]:
-    """One outer iteration from s_prev: returns (w, solution, half objective)."""
+             solver: str, lambda_mode: str
+             ) -> tuple[np.ndarray, np.ndarray, WaveformSolution, float]:
+    """One outer iteration from s_prev: (w, y = G^H w, solution, half objective)."""
     r_prev = total_cov(bundle, s_prev)
     w = mvdr_update(r_prev, bundle.target_map, s_prev, cfg.kappa)
     half = r_prev.quad(w)
-    solution = _waveform_step(bundle, w, cfg, solver, lambda_mode)
-    return w, solution, half
+    y = bundle.target_map.conj().T @ w
+    f0 = bundle.hessian(w)
+    if solver == "am-direct":
+        solution = direct_update(f0, bundle.target_map, w, cfg.kappa, cfg.power, lambda_mode)
+    elif solver == "qcqp":
+        solution = qcqp_solve(f0, y, cfg.kappa, cfg.power, gamma_mode=lambda_mode)
+    elif solver == "sdp":
+        solution = sdp_dual_solve(f0, y, cfg.kappa, cfg.power, mode=lambda_mode)
+    elif solver == "cls":
+        solution = cls_solve(f0, y, cfg.kappa, cfg.power, mode=lambda_mode)
+    else:
+        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    return w, y, solution, half
 
 
 def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
         obj_tol: float = 0.0, lambda_mode: str = "root", rescale: bool = False,
-        init_waveform=None, drift_samples: int = 64) -> RunReport:
+        init_waveform=None) -> RunReport:
     """Alternate the receiver and waveform updates from a seeded start.
 
     Stops after `max_iter` iterations or when successive full objectives
@@ -168,26 +174,22 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
                          rescaled=rescale, seed=seed)
 
     w = mvdr_update(total_cov(bundle, s), bundle.target_map, s, cfg.kappa)
+    y = bundle.target_map.conj().T @ w
     trace.records.append(_record(bundle, cfg, 0, w, s, half=None, multiplier=None,
                                  w_prev=None, s_prev=None, drift=None, rescale=rescale))
 
     converged = False
     for k in range(1, max_iter + 1):
-        w_prev, s_prev = w, s
+        w_prev, s_prev, y_prev = w, s, y
         try:
-            w, solution, half = _am_step(bundle, cfg, s_prev, solver, lambda_mode)
+            w, y, solution, half = _am_step(bundle, cfg, s_prev, solver, lambda_mode)
         except CostapError as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
         s = solution.s
-        drift = None
-        if drift_samples > 0:
-            y_prev = bundle.target_map.conj().T @ w_prev
-            y_curr = bundle.target_map.conj().T @ w
-            try:
-                drift = constraint_set_drift(y_prev, y_curr, cfg.kappa, cfg.power,
-                                             drift_samples)
-            except (Infeasible, ZeroSteering):
-                drift = float("nan")
+        try:
+            drift = constraint_set_drift(y_prev, y, cfg.kappa, cfg.power)
+        except (Infeasible, ZeroSteering):
+            drift = float("nan")
         trace.records.append(_record(bundle, cfg, k, w, s, half=half,
                                      multiplier=solution.multiplier,
                                      w_prev=w_prev, s_prev=s_prev, drift=drift,
@@ -257,73 +259,70 @@ def _report(trace: IterateTrace, converged: bool) -> RunReport:
 
 
 def hull_diameter(points) -> float:
-    """Max pairwise distance of a finite point set (= its hull diameter)."""
-    pts = [np.asarray(p, dtype=np.complex128).reshape(-1) for p in points]
-    if not pts:
+    """Max pairwise distance of a finite point set (= its hull diameter),
+    from one Gram matrix of the points centred on their mean, so that
+    ||x_i - x_j||^2 = G_ii + G_jj - 2 Re G_ij cancels no common offset."""
+    x = np.array([np.asarray(p, dtype=np.complex128).reshape(-1) for p in points])
+    if not len(x):
         raise ValueError("need at least one point")
-    best = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            best = max(best, float(np.linalg.norm(pts[i] - pts[j])))
-    return best
+    x -= x.mean(axis=0)
+    gram = x @ x.conj().T
+    sq = gram.diagonal().real
+    return float(np.sqrt(max(float((sq[:, None] + sq - 2.0 * gram.real).max()), 0.0)))
 
 
-def _closest_in_set(points: np.ndarray, y: np.ndarray, center: np.ndarray,
-                    radius: float) -> np.ndarray:
-    """Project rows of `points` onto {s : y^H s = kappa, ||s||^2 <= P_o}.
+def _circle_gap2(theta, kappa, z0, rho, inv_a, power, r_to) -> np.ndarray:
+    """h(z) of `constraint_set_drift` at z = z0 + rho e^{i theta}; inv_a = 1/||y_2||^2."""
+    z = z0 + rho * np.exp(1j * theta)
+    inplane = np.sqrt(np.maximum(power - (z.real**2 + z.imag**2) * inv_a, 0.0))
+    return np.abs(z - kappa) ** 2 * inv_a + np.maximum(inplane - r_to, 0.0) ** 2
 
-    The set is a ball of the given radius inside the Capon hyperplane,
-    so the projection is hyperplane projection followed by a radial
-    clamp toward the center.
+
+def constraint_set_drift(y_prev, y_curr, kappa: float, power_bound: float) -> float:
+    """Hausdorff distance between the waveform constraint sets
+    B_i = {s : y_i^H s = kappa, ||s||^2 <= P_o} of y_1 = y_prev, y_2 = y_curr.
+
+    B_i is the disk of radius r_i = sqrt(P_o - kappa^2/||y_i||^2) about
+    c_i = kappa y_i/||y_i||^2 in its hyperplane. The distance to B_2 is
+    convex, so its supremum over B_1 sits on the relative boundary
+    c_1 + r_1 u (u a unit vector orthogonal to y_1), where ||s||^2 = P_o
+    and the squared distance depends only on z = y_2^H s:
+    h(z) = |z - kappa|^2/||y_2||^2 + max(0, sqrt(P_o - |z|^2/||y_2||^2) - r_2)^2.
+    z covers the disk about z0 = y_2^H c_1 of radius rho = r_1 ||y_2 - its
+    projection on y_1|| (for N = 2, its circle). h is convex and C^1: it is
+    |z - kappa|^2/||y_2||^2 for |z| >= kappa and 2(P_o - kappa Re z/||y_2||^2
+    - r_2 sqrt(P_o - |z|^2/||y_2||^2)) inside, with value and gradient
+    matching on |z| = kappa. So the maximum lies on the circle z0 + rho
+    e^{i theta}; it has no closed form and may be either of two local maxima,
+    so every peak of a ring of angles is refined, both directions at once,
+    in O(N). At N = 1 each set is its Capon point. Raises ZeroSteering or
+    Infeasible for an empty set.
     """
-    ny2 = float(np.real(y.conj() @ y))
-    kappa_eff = complex(y.conj() @ center)
-    beta = (kappa_eff - points @ y.conj()) / ny2
-    on_plane = points + beta[:, None] * y[None, :]
-    t = on_plane - center[None, :]
-    norms = np.linalg.norm(t, axis=1)
-    scale = np.ones_like(norms)
-    over = norms > radius
-    if radius <= 0.0:
-        scale[:] = 0.0
-    else:
-        scale[over] = radius / norms[over]
-    return center[None, :] + scale[:, None] * t
-
-
-def constraint_set_drift(y_prev, y_curr, kappa: float, power_bound: float,
-                         samples: int) -> float:
-    """Sampled Hausdorff-distance estimate between successive waveform
-    feasible sets (Capon hyperplane sliced with the power ball).
-
-    Boundary points of each set are sampled (the supremum of a convex
-    distance function sits on extreme points) and their exact distance
-    to the other set is evaluated in closed form; the two directed
-    values are symmetrized. An estimate, not an exact metric.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    y1, n1 = _steering_vector(y_prev)
-    y2, n2 = _steering_vector(y_curr)
-    r1 = np.sqrt(_feasible_radius2(power_bound, kappa, n1))
-    r2 = np.sqrt(_feasible_radius2(power_bound, kappa, n2))
-    c1 = (kappa / n1) * y1
-    c2 = (kappa / n2) * y2
-    rng = np.random.default_rng(_DRIFT_RNG_SEED)
-
-    def boundary(y, center, radius, n_dim):
-        g = rng.standard_normal((samples, n_dim)) + 1j * rng.standard_normal((samples, n_dim))
-        g -= np.outer(g @ y.conj(), y) / float(np.real(y.conj() @ y))
-        norms = np.linalg.norm(g, axis=1)
-        good = norms > TAU_ZERO
-        pts = center[None, :] + radius * (g[good] / norms[good, None])
-        return np.vstack([center[None, :], pts])
-
-    p1 = boundary(y1, c1, r1, y1.size)
-    p2 = boundary(y2, c2, r2, y2.size)
-    d12 = np.linalg.norm(p1 - _closest_in_set(p1, y2, c2, r2), axis=1)
-    d21 = np.linalg.norm(p2 - _closest_in_set(p2, y1, c1, r1), axis=1)
-    return float(max(d12.max(), d21.max()))
+    (y1, a1), (y2, a2) = _steering_vector(y_prev), _steering_vector(y_curr)
+    r1, r2 = (np.sqrt(_feasible_radius2(power_bound, kappa, a)) for a in (a1, a2))
+    if y1.size == 1:
+        return float(abs(kappa * (y1[0] / a1 - y2[0] / a2)))
+    p = complex(y1.conj() @ y2)
+    # columns z0, rho, inv_a, ||s||^2, r_to; rows B_1 -> B_2, then B_2 -> B_1
+    params = np.array([
+        [kappa * p.conjugate() / a1, r1 * np.linalg.norm(y2 - (p / a1) * y1),
+         1.0 / a2, kappa**2 / a1 + r1 * r1, r2],
+        [kappa * p / a2, r2 * np.linalg.norm(y1 - (p.conjugate() / a2) * y2),
+         1.0 / a1, kappa**2 / a2 + r2 * r2, r1]]).T[:, :, None]
+    z0, rest = params[0], params[1:].real
+    vals = _circle_gap2(_RING, kappa, z0, *rest)
+    ring = np.concatenate((vals[:, -1:], vals, vals[:, :1]), axis=1)
+    rows, cols = np.nonzero((vals >= ring[:, :-2]) & (vals >= ring[:, 2:]))
+    z0, rest, pick = z0[rows], rest[:, rows], np.arange(rows.size)
+    centre, half, best = _RING[cols, None], _RING[1], float(vals.max())
+    for _ in range(_ZOOM_LEVELS):
+        theta = centre + half * _ZOOM_SAMPLES
+        vals = _circle_gap2(theta, kappa, z0, *rest)
+        k = vals.argmax(axis=1)
+        centre = theta[pick, k, None]
+        best = max(best, float(vals[pick, k].max()))
+        half *= _ZOOM_SAMPLES[1] - _ZOOM_SAMPLES[0]
+    return float(np.sqrt(best))
 
 
 def functional_relation_check(trace: IterateTrace, cfg: ScenarioConfig,
@@ -342,7 +341,7 @@ def functional_relation_check(trace: IterateTrace, cfg: ScenarioConfig,
     lambda_mode = trace.lambda_mode if lambda_mode is None else lambda_mode
     bundle = build_bundle(cfg)
     for prev, curr in zip(trace.records[:-1], trace.records[1:]):
-        w, solution, _ = _am_step(bundle, cfg, prev.s, solver, lambda_mode)
+        w, _, solution, _ = _am_step(bundle, cfg, prev.s, solver, lambda_mode)
         w_scale = max(float(np.max(np.abs(curr.w))), TAU_ZERO)
         s_scale = max(float(np.max(np.abs(curr.s))), TAU_ZERO)
         if float(np.max(np.abs(w - curr.w))) > rtol * w_scale:

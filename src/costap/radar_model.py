@@ -11,9 +11,7 @@ MNL x MNL matrix. R_n = rho^|i-j| is a Kac-Murdock-Szego matrix with a
 tridiagonal inverse; R_i + R_c(s) = F F^H with F the MNL x (I+Q) factor
 of interferer columns and clutter responses A_q s, each an outer
 product v_q kron s kron a_q. `SpaceTimeCov` applies, evaluates and
-solves with R_u in O(MNL * (I+Q)^2). The dense builders (`build_*_cov`,
-`build_clutter_operators`, `clutter_cov`, `waveform_hessian`) are kept
-as the test oracle.
+solves with R_u in O(MNL * (I+Q)^2).
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solveh_banded, toeplitz
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solveh_banded
 from scipy.linalg.blas import zherk
 
 from .errors import SingularCovariance, ValidationError
@@ -142,13 +140,6 @@ def build_target_map(cfg: ScenarioConfig) -> np.ndarray:
     return _space_time_map(t.azimuth, t.elevation, t.doppler, cfg.M, cfg.N, cfg.L)
 
 
-def build_noise_cov(cfg: ScenarioConfig) -> np.ndarray:
-    """Dense R_n, entry (i, j) = exp(-decay * |i - j|): the test oracle
-    for the structured noise term of SpaceTimeCov."""
-    col = np.exp(-cfg.noise_decay * np.arange(cfg.mnl))
-    return toeplitz(col).astype(np.complex128)
-
-
 def _interferer_columns(cfg: ScenarioConfig) -> np.ndarray:
     """MNL x I matrix with columns sqrt(power) * u, u = kron(t, a_i).
 
@@ -163,13 +154,6 @@ def _interferer_columns(cfg: ScenarioConfig) -> np.ndarray:
     return np.array(cols, dtype=np.complex128).reshape(len(cols), cfg.mnl).T
 
 
-def build_interference_cov(cfg: ScenarioConfig) -> np.ndarray:
-    """Dense R_i = sum_i power_i u_i u_i^H: the test oracle for the
-    interferer columns of the covariance factor."""
-    u = _interferer_columns(cfg)
-    return u @ u.conj().T
-
-
 def _clutter_patches(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     """Patch azimuths, linearly spaced over the configured span, and the
     clutter-ridge Dopplers f_q = slope * sin(az) * cos(el) / 2."""
@@ -177,30 +161,6 @@ def _clutter_patches(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = cl.azimuth_span
     azimuths = np.linspace(lo, hi, cl.patches)
     return azimuths, cl.doppler_slope * np.sin(azimuths) * np.cos(cl.elevation) / 2.0
-
-
-def build_clutter_operators(cfg: ScenarioConfig) -> list[np.ndarray]:
-    """Dense per-patch operators A_q = sqrt(patch_power) * (v_q kron I_N
-    kron a_q), MNL x N each: the test oracle for CovarianceBundle."""
-    cl = cfg.clutter
-    amp = np.sqrt(cl.patch_power)
-    return [amp * _space_time_map(az, cl.elevation, f_q, cfg.M, cfg.N, cfg.L)
-            for az, f_q in zip(*_clutter_patches(cfg))]
-
-
-def clutter_cov(ops, s) -> np.ndarray:
-    """Dense R_c(s) = sum_q (A_q s)(A_q s)^H from the dense operators (test oracle)."""
-    v = np.asarray(ops) @ np.asarray(s, dtype=np.complex128)  # (Q, MNL)
-    return v.T @ v.conj()
-
-
-def waveform_hessian(ops, w) -> np.ndarray:
-    """Dense-operator F0(w) = sum_q (A_q^H w)(A_q^H w)^H (test oracle).
-
-    Satisfies s^H F0(w) s = w^H R_c(s) w for every waveform s.
-    """
-    u = np.einsum("qmn,m->qn", np.asarray(ops).conj(), np.asarray(w, dtype=np.complex128))
-    return u.T @ u.conj()
 
 
 def _kms_matvec(rho: float, x: np.ndarray) -> np.ndarray:

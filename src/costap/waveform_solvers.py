@@ -475,14 +475,3 @@ def scale_solution(w, s, power_bound: float) -> tuple[np.ndarray, np.ndarray]:
         raise ZeroWaveform("cannot rescale a zero waveform")
     factor = ns / np.sqrt(power_bound)
     return factor * w, s / factor
-
-
-def align_phase(s, y_w) -> np.ndarray:
-    """Rotate s by the unit phase that makes s^H y_w real positive."""
-    s = _as_complex(s).reshape(-1)
-    y = _as_complex(y_w).reshape(-1)
-    ip = complex(s.conj() @ y)
-    mag = abs(ip)
-    if mag <= TAU_ZERO:
-        return s.copy()
-    return s * (ip / mag)

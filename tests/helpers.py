@@ -1,8 +1,20 @@
-"""Shared random-instance builders and dense oracles for the test suite."""
+"""Shared random-instance builders and dense oracles for the test suite.
+
+The dense builders form the MNL x MNL covariance terms and the per-patch
+MNL x N clutter operators that the structured `SpaceTimeCov` and
+`CovarianceBundle` never build; the tests check the structured forms
+against them.
+"""
 
 import numpy as np
+from scipy.linalg import toeplitz
 
-import costap as cs
+from costap.matrix_ops import TAU_ZERO
+from costap.radar_model import (
+    _clutter_patches,
+    _interferer_columns,
+    _space_time_map,
+)
 
 
 def random_complex(rng, *shape):
@@ -35,11 +47,53 @@ def random_instance(rng, n, kappa=1.0, eig_lo=0.0, eig_hi=2.0, slack=None):
     return f0, y, kappa, slack * floor
 
 
+def align_phase(s, y_w):
+    """Rotate s by the unit phase that makes s^H y_w real positive, so
+    that solutions equal up to a global phase compare entrywise."""
+    s = np.asarray(s, dtype=np.complex128).reshape(-1)
+    ip = complex(s.conj() @ np.asarray(y_w, dtype=np.complex128).reshape(-1))
+    return s * (ip / abs(ip)) if abs(ip) > TAU_ZERO else s.copy()
+
+
+def build_noise_cov(cfg):
+    """Dense R_n, entry (i, j) = exp(-decay * |i - j|)."""
+    col = np.exp(-cfg.noise_decay * np.arange(cfg.mnl))
+    return toeplitz(col).astype(np.complex128)
+
+
+def build_interference_cov(cfg):
+    """Dense R_i = sum_i power_i u_i u_i^H."""
+    u = _interferer_columns(cfg)
+    return u @ u.conj().T
+
+
+def build_clutter_operators(cfg):
+    """Dense per-patch operators A_q = sqrt(patch_power) * (v_q kron I_N
+    kron a_q), MNL x N each."""
+    cl = cfg.clutter
+    amp = np.sqrt(cl.patch_power)
+    return [amp * _space_time_map(az, cl.elevation, f_q, cfg.M, cfg.N, cfg.L)
+            for az, f_q in zip(*_clutter_patches(cfg))]
+
+
+def clutter_cov(ops, s):
+    """Dense R_c(s) = sum_q (A_q s)(A_q s)^H from the dense operators."""
+    v = np.asarray(ops) @ np.asarray(s, dtype=np.complex128)  # (Q, MNL)
+    return v.T @ v.conj()
+
+
+def waveform_hessian(ops, w):
+    """Dense-operator F0(w) = sum_q (A_q^H w)(A_q^H w)^H, which satisfies
+    s^H F0(w) s = w^H R_c(s) w for every waveform s."""
+    u = np.einsum("qmn,m->qn", np.asarray(ops).conj(), np.asarray(w, dtype=np.complex128))
+    return u.T @ u.conj()
+
+
 def dense_base_cov(cfg):
     """Dense R_n + R_i from the oracle builders."""
-    return cs.build_noise_cov(cfg) + cs.build_interference_cov(cfg)
+    return build_noise_cov(cfg) + build_interference_cov(cfg)
 
 
 def dense_total_cov(cfg, s):
     """Dense R_u(s) = R_n + R_i + R_c(s) from the oracle builders."""
-    return dense_base_cov(cfg) + cs.clutter_cov(cs.build_clutter_operators(cfg), s)
+    return dense_base_cov(cfg) + clutter_cov(build_clutter_operators(cfg), s)

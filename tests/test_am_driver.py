@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import costap as cs
+from costap import am_driver
 
 from helpers import dense_base_cov, random_complex
 
@@ -54,16 +55,82 @@ class TestHullDiameter:
         expected = max(np.linalg.norm(p - q) for p in pts for q in pts)
         assert abs(cs.hull_diameter(pts) - expected) <= 1e-14
 
+    def test_clustered_points_far_from_origin(self):
+        # a Gram matrix of the raw points would cancel the 1e3 offset
+        rng = np.random.default_rng(8)
+        centre = random_complex(rng, 320)
+        centre *= 1e3 / np.linalg.norm(centre)
+        pts = [centre + 1e-7 * random_complex(rng, 320) for _ in range(21)]
+        expected = max(np.linalg.norm(p - q) for p in pts for q in pts)
+        assert abs(cs.hull_diameter(pts) - expected) <= 1e-12 * expected
+
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             cs.hull_diameter([])
+
+
+def _capon_disk(y, kappa, p_o):
+    """Capon point and radius of {s : y^H s = kappa, ||s||^2 <= P_o}."""
+    ny2 = float(np.real(np.vdot(y, y)))
+    return kappa * y / ny2, np.sqrt(max(p_o - kappa**2 / ny2, 0.0))
+
+
+def _distance_to_set(points, y, kappa, p_o):
+    """Distance of each row to {s : y^H s = kappa, ||s||^2 <= P_o}:
+    projection onto the hyperplane, then a radial clamp to the disk."""
+    centre, radius = _capon_disk(y, kappa, p_o)
+    ny2 = float(np.real(np.vdot(y, y)))
+    on_plane = points + ((kappa - points @ y.conj()) / ny2)[:, None] * y[None, :]
+    t = on_plane - centre
+    norms = np.linalg.norm(t, axis=1)
+    scale = np.minimum(1.0, radius / np.maximum(norms, 1e-300))
+    return np.linalg.norm(points - centre - scale[:, None] * t, axis=1)
+
+
+def _boundary_circle(y_from, y_to, kappa, p_o, angles):
+    """Points c + r e^{i theta} e of the relative boundary of the set of
+    y_from, e the unit vector of y_to projected off y_from: along them
+    y_to^H s traces the whole circle of the reduced form."""
+    centre, radius = _capon_disk(y_from, kappa, p_o)
+    perp = y_to - (np.vdot(y_from, y_to) / np.vdot(y_from, y_from)) * y_from
+    e = perp / np.linalg.norm(perp)
+    return centre[None, :] + radius * np.exp(1j * angles)[:, None] * e[None, :]
+
+
+def _random_points(rng, y, kappa, p_o, count):
+    """Uniform interior points and uniform boundary points of the set."""
+    centre, radius = _capon_disk(y, kappa, p_o)
+    n = y.size
+    g = random_complex(rng, 2 * count, n)
+    g -= np.outer(g @ y.conj(), y) / np.vdot(y, y).real
+    g /= np.linalg.norm(g, axis=1)[:, None]
+    radii = radius * np.concatenate([rng.uniform(0, 1, count) ** (1.0 / (2 * n - 2)),
+                                     np.ones(count)])
+    return centre[None, :] + radii[:, None] * g
+
+
+def _reduced_grid_drift(y1, y2, kappa, p_o, angles):
+    """max of the reduced form h(z) over z0 + rho e^{i theta}, both
+    directions, written from the formula alone."""
+    best = 0.0
+    for ya, yb in ((y1, y2), (y2, y1)):
+        na2, nb2 = np.vdot(ya, ya).real, np.vdot(yb, yb).real
+        _, ra = _capon_disk(ya, kappa, p_o)
+        _, rb = _capon_disk(yb, kappa, p_o)
+        rho = ra * np.linalg.norm(yb - (np.vdot(ya, yb) / na2) * ya)
+        z = kappa * np.vdot(yb, ya) / na2 + rho * np.exp(1j * angles)
+        power = kappa**2 / na2 + ra**2
+        inplane = np.sqrt(np.maximum(power - np.abs(z) ** 2 / nb2, 0.0))
+        h = np.abs(z - kappa) ** 2 / nb2 + np.maximum(inplane - rb, 0.0) ** 2
+        best = max(best, float(h.max()))
+    return np.sqrt(best)
 
 
 class TestConstraintSetDrift:
     def test_identical_sets(self):
         rng = np.random.default_rng(4)
         y = random_complex(rng, 5)
-        assert cs.constraint_set_drift(y, y, 1.0, 2.0, 64) <= 1e-12
+        assert cs.constraint_set_drift(y, y, 1.0, 2.0) <= 1e-12
 
     def test_singleton_sets(self):
         # ||y||^2 = kappa^2 / P_o makes r = 0: sets shrink to Capon points
@@ -75,7 +142,7 @@ class TestConstraintSetDrift:
         y2 *= kappa / np.sqrt(p_o) / np.linalg.norm(y2)
         c1 = kappa * y1 / np.linalg.norm(y1) ** 2
         c2 = kappa * y2 / np.linalg.norm(y2) ** 2
-        got = cs.constraint_set_drift(y1, y2, kappa, p_o, 256)
+        got = cs.constraint_set_drift(y1, y2, kappa, p_o)
         assert abs(got - np.linalg.norm(c1 - c2)) <= 1e-10
 
     def test_infeasible(self):
@@ -83,43 +150,81 @@ class TestConstraintSetDrift:
         y = random_complex(rng, 4)
         y *= 0.1  # kappa^2/||y||^2 >> P_o
         with pytest.raises(cs.Infeasible):
-            cs.constraint_set_drift(y, y, 1.0, 1.0, 16)
+            cs.constraint_set_drift(y, y, 1.0, 1.0)
 
-    def test_against_dense_cloud_oracle(self):
-        # pairwise max-min Hausdorff over dense boundary clouds; no
-        # projection formula shared with the estimator
-        rng = np.random.default_rng(7)
-        n, kappa, p_o = 3, 1.0, 1.5
+    def test_scalar_sets_are_capon_points(self):
+        # N = 1: the hyperplane is one point, whatever the budget
+        y1, y2 = np.array([0.8 + 0.6j]), np.array([1.1 - 0.2j])
+        expected = abs(2.0 / np.conj(y1[0]) - 2.0 / np.conj(y2[0]))
+        got = cs.constraint_set_drift(y1, y2, 2.0, 50.0)
+        assert abs(got - expected) <= 1e-15 * expected
+
+    def test_parallel_steering(self):
+        # parallel hyperplanes: the disks differ by their centres and radii
+        rng = np.random.default_rng(9)
+        kappa, p_o = 1.0, 1.0
+        y1 = random_complex(rng, 6)
+        y2 = (1.3 + 0.4j) * y1
+        (c1, r1), (c2, r2) = _capon_disk(y1, kappa, p_o), _capon_disk(y2, kappa, p_o)
+        expected = np.hypot(np.linalg.norm(c1 - c2), r1 - r2)
+        got = cs.constraint_set_drift(y1, y2, kappa, p_o)
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_two_dimensional_boundary_is_a_circle(self):
+        # N = 2: each relative boundary is one circle in C^2, checked densely
+        rng = np.random.default_rng(10)
+        kappa, p_o = 1.0, 1.0
+        y1 = random_complex(rng, 2)
+        y2 = y1 + 0.3 * random_complex(rng, 2)
+        angles = np.linspace(0.0, 2.0 * np.pi, 1 << 14, endpoint=False)
+        oracle = max(_distance_to_set(_boundary_circle(ya, yb, kappa, p_o, angles),
+                                      yb, kappa, p_o).max()
+                     for ya, yb in ((y1, y2), (y2, y1)))
+        got = cs.constraint_set_drift(y1, y2, kappa, p_o)
+        assert abs(got - oracle) <= 1e-9 * oracle
+
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_feasible_witness_lower_bound(self, n):
+        # a feasible point of B_1 whose distance to B_2 the drift must reach
+        rng = np.random.default_rng(11 + n)
+        kappa, p_o = 1.0, 1.0
         y1 = random_complex(rng, n)
         y2 = y1 + 0.3 * random_complex(rng, n)
+        angles = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        s = _boundary_circle(y1, y2, kappa, p_o, angles)
+        assert np.max(np.abs(s @ y1.conj() - kappa)) <= 1e-12
+        assert np.max(np.linalg.norm(s, axis=1) ** 2) <= p_o * (1 + 1e-12)
+        witness = _distance_to_set(s, y2, kappa, p_o).max()
+        assert cs.constraint_set_drift(y1, y2, kappa, p_o) >= witness * (1 - 1e-12)
 
-        def cloud(y, count):
-            ny2 = float(np.real(y.conj() @ y))
-            center = kappa * y / ny2
-            r = np.sqrt(p_o - kappa**2 / ny2)
-            g = random_complex(rng, count, n)
-            g -= np.outer(g @ y.conj(), y) / ny2
-            g /= np.linalg.norm(g, axis=1)[:, None]
-            radii = r * rng.uniform(0, 1, count) ** (1.0 / (2 * n - 2))
-            pts = center[None, :] + radii[:, None] * g
-            boundary = center[None, :] + r * g
-            return np.vstack([pts, boundary, center[None, :]])
+    @pytest.mark.parametrize("n", [3, 8, 32])
+    def test_no_point_farther_than_the_drift(self, n):
+        # the Hausdorff definition from above, over random interior and
+        # boundary points and the witness circles of both sets
+        rng = np.random.default_rng(20 + n)
+        kappa, p_o = 1.0, 1.5
+        y1 = random_complex(rng, n)
+        y2 = y1 + 0.3 * random_complex(rng, n)
+        drift = cs.constraint_set_drift(y1, y2, kappa, p_o)
+        angles = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+        for ya, yb in ((y1, y2), (y2, y1)):
+            pts = np.vstack([_random_points(rng, ya, kappa, p_o, 1000),
+                             _boundary_circle(ya, yb, kappa, p_o, angles)])
+            assert _distance_to_set(pts, yb, kappa, p_o).max() <= drift * (1 + 1e-12)
 
-        a = cloud(y1, 6000)
-        b = cloud(y2, 6000)
-
-        def directed(p, q):
-            worst = 0.0
-            for block in np.array_split(p, 8):
-                d2 = (np.sum(np.abs(block) ** 2, axis=1)[:, None]
-                      + np.sum(np.abs(q) ** 2, axis=1)[None, :]
-                      - 2.0 * np.real(block.conj() @ q.T))
-                worst = max(worst, float(np.sqrt(np.maximum(d2, 0.0).min(axis=1)).max()))
-            return worst
-
-        oracle = max(directed(a, b), directed(b, a))
-        estimate = cs.constraint_set_drift(y1, y2, kappa, p_o, 10_000)
-        assert abs(estimate - oracle) <= 0.10 * oracle
+    def test_matches_dense_grid_of_reduced_form(self):
+        rng = np.random.default_rng(12)
+        angles = np.linspace(0.0, 2.0 * np.pi, 1 << 16, endpoint=False)
+        for _ in range(40):
+            n = int(rng.choice([2, 3, 8, 32, 128]))
+            kappa = 10 ** rng.uniform(-2, 2)
+            y1 = random_complex(rng, n)
+            y2 = y1 + rng.uniform(0.01, 2.0) * random_complex(rng, n)
+            floor = kappa**2 / min(np.vdot(y1, y1).real, np.vdot(y2, y2).real)
+            p_o = floor * (1 + 10 ** rng.uniform(-4, 1))
+            grid = _reduced_grid_drift(y1, y2, kappa, p_o, angles)
+            got = cs.constraint_set_drift(y1, y2, kappa, p_o)
+            assert abs(got - grid) <= 1e-9 * grid, (n, kappa, p_o)
 
 
 class TestRun:
@@ -191,7 +296,7 @@ class TestRun:
         assert len(report.trace) < 51
 
     def test_drift_column_trend(self, small_cfg):
-        report = cs.run(small_cfg, "qcqp", max_iter=10, drift_samples=128)
+        report = cs.run(small_cfg, "qcqp", max_iter=10)
         drifts = [r.drift for r in report.trace.records[2:]]
         assert all(d is not None and np.isfinite(d) for d in drifts)
         assert report.max_constraint_drift >= max(drifts)
@@ -246,6 +351,20 @@ def test_run_allocates_no_dense_covariance(default_cfg):
         finally:
             tracemalloc.stop()
         assert peak < dense_bytes, (solver, peak)
+
+
+@pytest.mark.parametrize("solver", cs.SOLVERS)
+def test_diagnostics_called_through_module_globals(small_cfg, monkeypatch, solver):
+    # the benchmark times the diagnostics by wrapping these module
+    # globals: one drift per iteration and two hull diameters per run
+    calls = dict.fromkeys(("constraint_set_drift", "hull_diameter"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(am_driver, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(am_driver, name, counted)
+    cs.run(small_cfg, solver, max_iter=7, rescale=True)
+    assert calls == {"constraint_set_drift": 7, "hull_diameter": 2}
 
 
 class TestFunctionalRelationCheck:

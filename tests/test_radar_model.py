@@ -7,7 +7,16 @@ import pytest
 import costap as cs
 from costap.radar_model import _space_time_map
 
-from helpers import dense_base_cov, dense_total_cov, random_complex
+from helpers import (
+    build_clutter_operators,
+    build_interference_cov,
+    build_noise_cov,
+    clutter_cov,
+    dense_base_cov,
+    dense_total_cov,
+    random_complex,
+    waveform_hessian,
+)
 
 
 class TestSteering:
@@ -71,18 +80,18 @@ class TestTargetMap:
 
 class TestNoiseCov:
     def test_unit_diagonal(self, small_cfg):
-        r = cs.build_noise_cov(small_cfg)
+        r = build_noise_cov(small_cfg)
         np.testing.assert_allclose(np.diag(r).real, 1.0, atol=1e-15)
 
     def test_two_by_two_value(self):
         cfg = cs.ScenarioConfig(M=1, N=2, L=1, target=cs.TargetSpec(0, 0.5, 0),
                                 noise_decay=0.005, seed=0)
-        r = cs.build_noise_cov(cfg)
+        r = build_noise_cov(cfg)
         assert abs(r[0, 1].real - math.exp(-0.005)) <= 1e-15
         assert abs(r[0, 1].real - 0.9950124791926823) <= 1e-12
 
     def test_positive_definite_at_full_size(self, default_cfg):
-        r = cs.build_noise_cov(default_cfg)
+        r = build_noise_cov(default_cfg)
         assert r.shape == (320, 320)
         assert np.linalg.eigvalsh(r)[0] > 0
 
@@ -90,16 +99,16 @@ class TestNoiseCov:
 class TestInterferenceCov:
     def test_no_interferers(self, small_cfg):
         cfg = dataclasses.replace(small_cfg, interferers=())
-        np.testing.assert_array_equal(cs.build_interference_cov(cfg), 0.0)
+        np.testing.assert_array_equal(build_interference_cov(cfg), 0.0)
 
     def test_single_interferer_rank_one(self, small_cfg):
-        r = cs.build_interference_cov(small_cfg)
+        r = build_interference_cov(small_cfg)
         sv = np.linalg.svd(r, compute_uv=False)
         assert sv[0] > 0
         assert sv[1] <= 1e-12 * sv[0]
 
     def test_trace(self, small_cfg):
-        r = cs.build_interference_cov(small_cfg)
+        r = build_interference_cov(small_cfg)
         power = small_cfg.interferers[0].power
         expected = power * small_cfg.L * small_cfg.N * small_cfg.M
         assert abs(np.trace(r).real - expected) <= 1e-10 * expected
@@ -111,14 +120,14 @@ class TestClutterOperators:
             M=2, N=3, L=2, target=cs.TargetSpec(0.1, 0.4, 0.0),
             clutter=cs.ClutterSpec(patches=1, elevation=0.3, azimuth_span=(0.0, 0.0)),
             seed=0)
-        ops = cs.build_clutter_operators(cfg)
+        ops = build_clutter_operators(cfg)
         assert len(ops) == 1
         f_1 = cfg.clutter.doppler_slope * np.sin(0.0) * np.cos(0.3) / 2.0
         expected = _space_time_map(0.0, 0.3, f_1, cfg.M, cfg.N, cfg.L)
         np.testing.assert_allclose(ops[0], expected, atol=1e-14)
 
     def test_azimuth_spacing(self, default_cfg):
-        ops = cs.build_clutter_operators(default_cfg)
+        ops = build_clutter_operators(default_cfg)
         assert len(ops) == 25
         azimuths = np.linspace(-np.pi / 2, np.pi / 2, 25)
         assert abs(azimuths[1] - azimuths[0] - np.pi / 24) <= 1e-15
@@ -126,7 +135,7 @@ class TestClutterOperators:
     def test_gram_identity(self, small_cfg):
         scaled = dataclasses.replace(
             small_cfg, clutter=dataclasses.replace(small_cfg.clutter, patch_power=2.5))
-        ops = cs.build_clutter_operators(scaled)
+        ops = build_clutter_operators(scaled)
         expected = 2.5 * scaled.L * scaled.M * np.eye(scaled.N)
         for op in ops:
             np.testing.assert_allclose(op.conj().T @ op, expected, atol=1e-10)
@@ -134,8 +143,8 @@ class TestClutterOperators:
 
 class TestClutterCov:
     def test_zero_waveform(self, small_cfg):
-        ops = cs.build_clutter_operators(small_cfg)
-        r = cs.clutter_cov(ops, np.zeros(small_cfg.N, dtype=complex))
+        ops = build_clutter_operators(small_cfg)
+        r = clutter_cov(ops, np.zeros(small_cfg.N, dtype=complex))
         np.testing.assert_array_equal(r, 0.0)
 
     def test_single_patch_rank_one(self):
@@ -143,18 +152,18 @@ class TestClutterCov:
             M=2, N=3, L=2, target=cs.TargetSpec(0.1, 0.4, 0.0),
             clutter=cs.ClutterSpec(patches=1, elevation=0.3, azimuth_span=(0.0, 0.0)),
             seed=0)
-        ops = cs.build_clutter_operators(cfg)
-        r = cs.clutter_cov(ops, np.array([1.0, 1j, -0.5]))
+        ops = build_clutter_operators(cfg)
+        r = clutter_cov(ops, np.array([1.0, 1j, -0.5]))
         sv = np.linalg.svd(r, compute_uv=False)
         assert sv[1] <= 1e-12 * sv[0]
 
     def test_scalar_identity(self, small_cfg):
         rng = np.random.default_rng(3)
-        ops = cs.build_clutter_operators(small_cfg)
+        ops = build_clutter_operators(small_cfg)
         for _ in range(10):
             w = random_complex(rng, small_cfg.mnl)
             s = random_complex(rng, small_cfg.N)
-            lhs = np.real(w.conj() @ (cs.clutter_cov(ops, s) @ w))
+            lhs = np.real(w.conj() @ (clutter_cov(ops, s) @ w))
             rhs = sum(abs(w.conj() @ (op @ s)) ** 2 for op in ops)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, rhs)
 
@@ -163,28 +172,28 @@ class TestWaveformHessian:
     def test_zero_weights(self, small_bundle, small_cfg):
         zero = np.zeros(small_cfg.mnl, dtype=complex)
         np.testing.assert_array_equal(small_bundle.hessian(zero), 0.0)
-        ops = cs.build_clutter_operators(small_cfg)
-        np.testing.assert_array_equal(cs.waveform_hessian(ops, zero), 0.0)
+        ops = build_clutter_operators(small_cfg)
+        np.testing.assert_array_equal(waveform_hessian(ops, zero), 0.0)
 
     def test_bilinear_identity(self, small_bundle, small_cfg):
         rng = np.random.default_rng(4)
-        ops = cs.build_clutter_operators(small_cfg)
+        ops = build_clutter_operators(small_cfg)
         scale = sum(np.linalg.norm(op) ** 2 for op in ops)
         for _ in range(100):
             w = random_complex(rng, small_cfg.mnl)
             s = random_complex(rng, small_cfg.N)
             lhs = np.real(s.conj() @ (small_bundle.hessian(w) @ s))
-            rhs = np.real(w.conj() @ (cs.clutter_cov(ops, s) @ w))
+            rhs = np.real(w.conj() @ (clutter_cov(ops, s) @ w))
             bound = 1e-10 * np.linalg.norm(s) ** 2 * np.linalg.norm(w) ** 2 * scale
             assert abs(lhs - rhs) <= bound
             assert abs(small_bundle.clutter(s).quad(w) - rhs) <= bound
 
     def test_contraction_matches_dense_operators(self, default_cfg, default_bundle):
         rng = np.random.default_rng(9)
-        ops = cs.build_clutter_operators(default_cfg)
+        ops = build_clutter_operators(default_cfg)
         for _ in range(5):
             w = random_complex(rng, default_cfg.mnl)
-            dense = cs.waveform_hessian(ops, w)
+            dense = waveform_hessian(ops, w)
             got = default_bundle.hessian(w)
             assert np.max(np.abs(got - dense)) <= 1e-14 * np.max(np.abs(dense))  # 4e-16 measured
 
@@ -214,7 +223,7 @@ class TestTotalCov:
 
     def test_min_eigenvalue_dominates_noise_floor(self, small_bundle, small_cfg):
         rng = np.random.default_rng(7)
-        noise_min = np.linalg.eigvalsh(cs.build_noise_cov(small_cfg))[0]
+        noise_min = np.linalg.eigvalsh(build_noise_cov(small_cfg))[0]
         for _ in range(5):
             r = _dense(cs.total_cov(small_bundle, random_complex(rng, small_cfg.N)),
                        small_cfg.mnl)
@@ -265,7 +274,7 @@ class TestSpaceTimeCovOracle:
         s = random_complex(rng, small_cfg.N)
         r = small_bundle.clutter(s)
         assert r.rho is None
-        dense = cs.clutter_cov(cs.build_clutter_operators(small_cfg), s)
+        dense = clutter_cov(build_clutter_operators(small_cfg), s)
         np.testing.assert_allclose(_dense(r, small_cfg.mnl), dense,
                                    atol=1e-13 * np.max(np.abs(dense)))
         with pytest.raises(cs.SingularCovariance):
@@ -274,7 +283,7 @@ class TestSpaceTimeCovOracle:
     @pytest.mark.parametrize("n", [1, 2, 3, 7])
     def test_kms_noise_and_inverse(self, small_cfg, n):
         cfg = dataclasses.replace(small_cfg, M=1, N=n, L=1)
-        dense = cs.build_noise_cov(cfg)
+        dense = build_noise_cov(cfg)
         r = cs.SpaceTimeCov(math.exp(-cfg.noise_decay), np.zeros((n, 0), dtype=complex))
         eye = np.eye(n, dtype=complex)
         np.testing.assert_allclose(r @ eye, dense, atol=1e-13)
@@ -324,4 +333,4 @@ class TestScenarioValidation:
         cfg = dataclasses.replace(
             small_cfg,
             clutter=cs.ClutterSpec(patches=1, elevation=0.1, azimuth_span=(0.0, 0.0)))
-        assert len(cs.build_clutter_operators(cfg)) == 1
+        assert len(build_clutter_operators(cfg)) == 1

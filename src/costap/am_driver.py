@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CostapError, Infeasible, ZeroSteering
+from .errors import CostapError, Infeasible, ValidationError, ZeroSteering
 from .matrix_ops import TAU_ZERO, _as_complex
 from .radar_model import CovarianceBundle, ScenarioConfig, build_bundle, total_cov
 from .receiver import mvdr_update
@@ -157,9 +157,9 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
     index attached.
     """
     if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+        raise ValidationError("solver", f"unknown solver {solver!r}; expected one of {SOLVERS}")
     if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+        raise ValidationError("max_iter", f"must be >= 0, got {max_iter}")
     bundle = build_bundle(cfg)
     if init_waveform is None:
         s = initial_waveform(cfg)

@@ -13,18 +13,24 @@ Scenario schema (JSON, angles in radians):
                  "patch_power": 1.0, "doppler_slope": 1.0},
      "seed": 1729}
 
-Unspecified fields take the defaults shown by scenario_from_dict. Trace
-CSV columns are fixed: iter, objective, clutter_objective, power,
-capon_residual, multiplier, step_w, step_s, drift, rescaled_objective
-(the last one empty when not rescaling). Floats are printed with 17
-significant digits so emitted files are bit-reproducible and parse back
-to identical values.
+Unspecified fields take the defaults shown by scenario_from_dict.
+
+A trace has one row per iteration with the columns TRACE_COLUMNS
+(rescaled_objective empty when not rescaling): in CSV a header line and
+one line per row; in JSON an object of solver, lambda_mode, rescaled and
+seed with a "records" list of one object per row. Comparison tables have
+the TableRow fields as columns and a JSON "rows" list. One token rule
+holds throughout: integers print as integers, other numbers with 17
+significant digits (bit-reproducible, parse back exactly), None as an
+empty CSV cell or JSON null, and non-finite JSON numbers as NaN,
+Infinity and -Infinity, as Python's json reads them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -37,10 +43,16 @@ from .am_driver import SOLVERS, IterateTrace, RunReport, draw_waveform, run
 from .errors import CostapError, ParseError, ValidationError
 from .radar_model import ClutterSpec, InterfererSpec, ScenarioConfig, TargetSpec
 
-TRACE_COLUMNS = (
-    "iter", "objective", "clutter_objective", "power", "capon_residual",
-    "multiplier", "step_w", "step_s", "drift", "rescaled_objective",
-)
+# trace column -> IterateRecord attribute, in file order
+_TRACE_FIELDS = {
+    "iter": "iteration", "objective": "full_objective",
+    "clutter_objective": "clutter_objective", "power": "power",
+    "capon_residual": "capon_residual", "multiplier": "multiplier",
+    "step_w": "step_w", "step_s": "step_s", "drift": "drift",
+    "rescaled_objective": "rescaled_objective",
+}
+TRACE_COLUMNS = tuple(_TRACE_FIELDS)
+_TRACE_META = ("solver", "lambda_mode", "rescaled", "seed")  # JSON only
 
 
 @dataclass(frozen=True)
@@ -83,6 +95,9 @@ class ComparisonTable:
     failures: tuple[tuple[str, int, str], ...] = ()
 
 
+_TABLE_COLUMNS = tuple(f.name for f in dataclasses.fields(TableRow))
+
+
 def default_scenario_path() -> Path:
     """Location of the bundled demo scenario file."""
     return Path(str(resources.files("costap").joinpath("data/scenario_default.json")))
@@ -111,7 +126,10 @@ def _get_num(doc: dict, key: str, default, label: str) -> float:
         raise ValidationError(label, "is required")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(label, f"must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(label, "is too large for a float") from None
 
 
 def _get_int(doc: dict, key: str, default, label: str) -> int:
@@ -139,8 +157,11 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     noise = doc.get("noise", {})
     if not isinstance(noise, dict):
         raise ValidationError("noise", "must be an object")
+    itf_docs = doc.get("interferers", [])
+    if not isinstance(itf_docs, list):
+        raise ValidationError("interferers", f"must be a list, got {itf_docs!r}")
     interferers = []
-    for i, itf in enumerate(doc.get("interferers", [])):
+    for i, itf in enumerate(itf_docs):
         if not isinstance(itf, dict):
             raise ValidationError(f"interferers[{i}]", "must be an object")
         interferers.append(InterfererSpec(
@@ -158,7 +179,8 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     clutter = ClutterSpec(
         patches=_get_int(clutter_doc, "patches", 1, "clutter.patches"),
         elevation=_get_num(clutter_doc, "elevation", 0.0, "clutter.elevation"),
-        azimuth_span=(float(span[0]), float(span[1])),
+        azimuth_span=tuple(_get_num(dict(enumerate(span)), i, None, f"clutter.azimuth_span[{i}]")
+                           for i in (0, 1)),
         patch_power=_get_num(clutter_doc, "patch_power", 1.0, "clutter.patch_power"),
         doppler_slope=_get_num(clutter_doc, "doppler_slope", 1.0, "clutter.doppler_slope"),
     )
@@ -238,122 +260,69 @@ def _table_row(label: str, finals: list[float]) -> TableRow:
     return TableRow(label, float(np.mean(arr)), std, int(arr.size))
 
 
-def _fmt(value) -> str:
-    """17-significant-digit float token (round-trips float64 exactly)."""
+def _cell(value, fmt: str) -> str:
+    """One value as a CSV cell or a JSON token (see module docstring)."""
     if value is None:
-        return ""
-    return f"{float(value):.17g}"
-
-
-def _json_num(value) -> str:
-    if value is None:
-        return "null"
+        return "" if fmt == "csv" else "null"
+    if isinstance(value, (str, bool)):
+        return json.dumps(value) if fmt == "json" else str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
     value = float(value)
-    if np.isnan(value):
-        return "NaN"
-    if np.isinf(value):
-        return "Infinity" if value > 0 else "-Infinity"
+    if fmt == "json" and not np.isfinite(value):
+        return "NaN" if np.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
     return f"{value:.17g}"
+
+
+def _write(path, fmt: str, columns, rows, key: str, meta=()) -> None:
+    """Write rows of values under `columns`: a CSV header and one line per
+    row, or a JSON object of the `meta` (name, value) pairs and a list
+    `key` of one object per row."""
+    if fmt == "csv":
+        lines = [",".join(columns)]
+        lines += [",".join(_cell(v, fmt) for v in row) for row in rows]
+        text = "\n".join(lines) + "\n"
+    elif fmt == "json":
+        head = "".join(f'  "{name}": {_cell(v, fmt)},\n' for name, v in meta)
+        items = ",\n".join(
+            "    {" + ", ".join(f'"{c}": {_cell(v, fmt)}' for c, v in zip(columns, row)) + "}"
+            for row in rows)
+        text = "{\n" + head + f'  "{key}": [\n' + items + "\n  ]\n}\n"
+    else:
+        raise ValueError(f"unknown output format {fmt!r}")
+    Path(path).write_text(text)
 
 
 def emit_trace(trace: IterateTrace, path, fmt: str = "csv") -> None:
     """Write a per-iteration trace as CSV or JSON (see module docstring)."""
-    path = Path(path)
-    if fmt == "csv":
-        lines = [",".join(TRACE_COLUMNS)]
-        for r in trace.records:
-            lines.append(",".join([
-                str(r.iteration),
-                _fmt(r.full_objective),
-                _fmt(r.clutter_objective),
-                _fmt(r.power),
-                _fmt(r.capon_residual),
-                _fmt(r.multiplier),
-                _fmt(r.step_w),
-                _fmt(r.step_s),
-                _fmt(r.drift),
-                _fmt(r.rescaled_objective),
-            ]))
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
-        rec_objs = []
-        for r in trace.records:
-            fields = [f'"iter": {r.iteration}']
-            for name, value in (
-                ("objective", r.full_objective),
-                ("clutter_objective", r.clutter_objective),
-                ("power", r.power),
-                ("capon_residual", r.capon_residual),
-                ("multiplier", r.multiplier),
-                ("step_w", r.step_w),
-                ("step_s", r.step_s),
-                ("drift", r.drift),
-                ("rescaled_objective", r.rescaled_objective),
-            ):
-                fields.append(f'"{name}": {_json_num(value)}')
-            rec_objs.append("    {" + ", ".join(fields) + "}")
-        head = (
-            f'  "solver": {json.dumps(trace.solver)},\n'
-            f'  "lambda_mode": {json.dumps(trace.lambda_mode)},\n'
-            f'  "rescaled": {json.dumps(trace.rescaled)},\n'
-            f'  "seed": {json.dumps(trace.seed)},\n'
-        )
-        body = '  "records": [\n' + ",\n".join(rec_objs) + "\n  ]\n"
-        path.write_text("{\n" + head + body + "}\n")
-    else:
-        raise ValueError(f"unknown trace format {fmt!r}")
+    rows = [[getattr(r, attr) for attr in _TRACE_FIELDS.values()] for r in trace.records]
+    meta = [(name, getattr(trace, name)) for name in _TRACE_META]
+    _write(path, fmt, TRACE_COLUMNS, rows, "records", meta)
 
 
 def read_trace(path, fmt: str = "csv"):
     """Parse an emitted trace back into (metadata, rows of floats/None)."""
-    path = Path(path)
+    text = Path(path).read_text()
     if fmt == "csv":
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        if tuple(header) != TRACE_COLUMNS:
+        header, *lines = text.splitlines()
+        if tuple(header.split(",")) != TRACE_COLUMNS:
             raise ParseError(f"unexpected trace header {header!r}")
         rows = []
-        for line in lines[1:]:
-            cells = line.split(",")
-            row = {"iter": int(cells[0])}
-            for name, cell in zip(TRACE_COLUMNS[1:], cells[1:]):
-                row[name] = None if cell == "" else float(cell)
-            rows.append(row)
+        for line in lines:
+            it, *cells = line.split(",")
+            rows.append({"iter": int(it), **{name: None if cell == "" else float(cell)
+                                             for name, cell in zip(TRACE_COLUMNS[1:], cells)}})
         return {}, rows
     if fmt == "json":
-        doc = json.loads(path.read_text())
-        meta = {k: doc[k] for k in ("solver", "lambda_mode", "rescaled", "seed")}
-        return meta, doc["records"]
+        doc = json.loads(text)
+        return {k: doc[k] for k in _TRACE_META}, doc["records"]
     raise ValueError(f"unknown trace format {fmt!r}")
 
 
 def emit_table(table: ComparisonTable, path, fmt: str = "csv") -> None:
-    """Write a comparison table as CSV or JSON."""
-    path = Path(path)
-    if fmt == "csv":
-        lines = ["algorithm,mean_final_objective,std_final_objective,trials"]
-        for row in table.rows:
-            lines.append(",".join([
-                row.algorithm,
-                _fmt(row.mean_final_objective),
-                _fmt(row.std_final_objective),
-                str(row.trials),
-            ]))
-        path.write_text("\n".join(lines) + "\n")
-    elif fmt == "json":
-        items = []
-        for row in table.rows:
-            items.append(
-                "    {" + ", ".join([
-                    f'"algorithm": {json.dumps(row.algorithm)}',
-                    f'"mean_final_objective": {_fmt(row.mean_final_objective)}',
-                    f'"std_final_objective": {_fmt(row.std_final_objective)}',
-                    f'"trials": {row.trials}',
-                ]) + "}"
-            )
-        path.write_text('{\n  "rows": [\n' + ",\n".join(items) + "\n  ]\n}\n")
-    else:
-        raise ValueError(f"unknown table format {fmt!r}")
+    """Write a comparison table as CSV or JSON, by the trace's token rule."""
+    rows = [[getattr(row, name) for name in _TABLE_COLUMNS] for row in table.rows]
+    _write(path, fmt, _TABLE_COLUMNS, rows, "rows")
 
 
 def _print_table(table: ComparisonTable) -> None:
@@ -420,14 +389,6 @@ def _run_experiment(args, default_trials: int, write_traces: bool) -> int:
     return 3 if table.failures else 0
 
 
-def _cmd_compare(args) -> int:
-    return _run_experiment(args, default_trials=1, write_traces=True)
-
-
-def _cmd_montecarlo(args) -> int:
-    return _run_experiment(args, default_trials=50, write_traces=False)
-
-
 def _add_common(p: argparse.ArgumentParser, multi_solver: bool) -> None:
     p.add_argument("--scenario", metavar="PATH", default=None,
                    help="scenario JSON (default: bundled demo scenario)")
@@ -458,16 +419,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_run, multi_solver=False)
     p_run.set_defaults(func=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="all solvers from one shared start")
-    _add_common(p_cmp, multi_solver=True)
-    p_cmp.add_argument("--trials", type=int, default=None, metavar="T")
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_mc = sub.add_parser("montecarlo", help="multi-trial mean comparison table")
-    _add_common(p_mc, multi_solver=True)
-    p_mc.add_argument("--trials", type=int, default=None, metavar="T")
-    p_mc.set_defaults(func=_cmd_montecarlo)
-
+    for name, help_text, trials, write_traces in (
+            ("compare", "all solvers from one shared start", 1, True),
+            ("montecarlo", "multi-trial mean comparison table", 50, False)):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, multi_solver=True)
+        p.add_argument("--trials", type=int, default=None, metavar="T")
+        p.set_defaults(func=functools.partial(_run_experiment, default_trials=trials,
+                                              write_traces=write_traces))
     return parser
 
 

@@ -16,7 +16,7 @@ solves with R_u in O(MNL * (I+Q)^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solveh_banded
@@ -82,32 +82,41 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValidationError(f"dims.{name}", f"must be an integer >= 1, got {v!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValidationError("seed", f"must be an integer >= 0, got {seed!r}")
+        for label, value in self._real_fields():
+            if not np.isfinite(value):
+                raise ValidationError(label, f"must be finite, got {value!r}")
         if not self.power > 0:
             raise ValidationError("power", f"must be positive, got {self.power!r}")
         if not self.kappa > 0:
             raise ValidationError("kappa", f"must be positive, got {self.kappa!r}")
         if not self.noise_decay > 0:
             raise ValidationError("noise.decay", f"must be positive, got {self.noise_decay!r}")
-        for label, angle in (
-            ("target.azimuth", self.target.azimuth),
-            ("target.elevation", self.target.elevation),
-            ("target.doppler", self.target.doppler),
-        ):
-            if not np.isfinite(angle):
-                raise ValidationError(label, f"must be finite, got {angle!r}")
         if self.clutter.patches < 1:
             raise ValidationError("clutter.patches", f"must be >= 1, got {self.clutter.patches!r}")
         lo, hi = self.clutter.azimuth_span
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ValidationError("clutter.azimuth_span", f"need finite lo <= hi, got {(lo, hi)!r}")
+        if not lo <= hi:
+            raise ValidationError("clutter.azimuth_span", f"need lo <= hi, got {(lo, hi)!r}")
         if self.clutter.patch_power < 0:
             raise ValidationError("clutter.patch_power", "must be >= 0")
         for i, itf in enumerate(self.interferers):
             if itf.power < 0:
                 raise ValidationError(f"interferers[{i}].power", "must be >= 0")
-            for fname in ("azimuth", "elevation", "phase_rate"):
-                if not np.isfinite(getattr(itf, fname)):
-                    raise ValidationError(f"interferers[{i}].{fname}", "must be finite")
+
+    def _real_fields(self):
+        """(label, value) of every real-valued field of the config and its
+        specs, labelled as in the scenario file."""
+        owners = [("", self), ("target.", self.target), ("clutter.", self.clutter)]
+        owners += [(f"interferers[{i}].", itf) for i, itf in enumerate(self.interferers)]
+        for prefix, spec in owners:
+            for f in fields(spec):
+                value = getattr(spec, f.name)
+                if f.type == "float":
+                    yield prefix + ("noise.decay" if f.name == "noise_decay" else f.name), value
+                elif f.type == "tuple[float, float]":
+                    yield from ((f"{prefix}{f.name}[{j}]", v) for j, v in enumerate(value))
 
     @property
     def mnl(self) -> int:

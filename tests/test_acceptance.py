@@ -16,7 +16,7 @@ import costap as cs
 from costap.harness_cli import _trial_waveform
 
 from helpers import align_phase, dense_base_cov, random_complex, random_psd
-from test_waveform_solvers import projected_gradient_min
+from test_waveform_solvers import feasible_starts, projected_gradient_min
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +125,17 @@ def test_criterion_05_strong_duality():
 
 def test_criterion_06_bruteforce_oracle():
     rng = np.random.default_rng(1906)
-    worst = 0.0
+    instances = []
     for _ in range(20):
         f0 = random_psd(rng, 2, eig_lo=0.3, eig_hi=3.0)
         y = random_complex(rng, 2)
         floor = 1.0 / float(np.real(y.conj() @ y))
         p_o = rng.uniform(1.1, 2.5) * floor
+        instances.append((f0, y, 1.0, p_o, feasible_starts(y, 1.0, p_o, rng, starts=200)))
+    worst = 0.0
+    for (f0, y, _, p_o, _), brute in zip(instances,
+                                         projected_gradient_min(instances, steps=10_000)):
         sol = cs.qcqp_solve(f0, y, 1.0, p_o)
-        brute = projected_gradient_min(f0, y, 1.0, p_o, rng, starts=200, steps=10_000)
         rel = abs(sol.objective - brute) / (1.0 + abs(brute))
         assert rel <= 1e-4
         worst = max(worst, rel)

@@ -286,6 +286,13 @@ class TestRun:
         with pytest.raises(ValueError):
             cs.run(small_cfg, "newton")
 
+    @pytest.mark.parametrize("kwargs, field", [({"solver": "newton"}, "solver"),
+                                               ({"max_iter": -1}, "max_iter")])
+    def test_bad_arguments_name_the_field(self, small_cfg, kwargs, field):
+        with pytest.raises(cs.ValidationError) as err:
+            cs.run(small_cfg, **kwargs)
+        assert err.value.field == field
+
     def test_init_waveform_length_checked(self, small_cfg):
         with pytest.raises(ValueError):
             cs.run(small_cfg, "qcqp", init_waveform=np.ones(5, dtype=complex))

@@ -205,6 +205,96 @@ class TestEmitTable:
         assert doc["rows"][0]["algorithm"] == "qcqp[root]"
         assert doc["rows"][0]["trials"] == 1
 
+    def test_failed_solver_json_table_parses(self, small_cfg, tmp_path):
+        # the spec of test_failed_cells_recorded: am-direct fails, its mean is NaN
+        cfg = dataclasses.replace(
+            small_cfg, clutter=dataclasses.replace(small_cfg.clutter, patches=2))
+        spec = cs.ExperimentSpec(scenario=cfg, solvers=("am-direct", "qcqp"),
+                                 lambda_mode="zero", trials=1, max_iter=2, seed=5)
+        _, table = cs.run_comparison(spec)
+        path = tmp_path / "table.json"
+        cs.emit_table(table, path, "json")
+        doc = json.loads(path.read_text())
+        failed, ok = doc["rows"]
+        assert failed["algorithm"] == "am-direct[zero]" and failed["trials"] == 0
+        assert np.isnan(failed["mean_final_objective"])
+        assert ok["mean_final_objective"] == table.rows[1].mean_final_objective
+
+
+def _record(iteration, objective, clutter, residual, power, multiplier=None, step_w=None,
+            step_s=None, drift=None, rescaled=None):
+    return cs.IterateRecord(
+        iteration=iteration, w=np.zeros(1), s=np.zeros(1), full_objective=objective,
+        half_objective=objective, clutter_objective=clutter, capon_residual=residual,
+        power=power, multiplier=multiplier, step_w=step_w, step_s=step_s, drift=drift,
+        rescaled_objective=rescaled)
+
+
+HEADER = ("iter,objective,clutter_objective,power,capon_residual,multiplier,"
+          "step_w,step_s,drift,rescaled_objective\n")
+RECORD_0 = ('{"iter": 0, "objective": 0.10000000000000001, '
+            '"clutter_objective": 0.33333333333333331, "power": 1, "capon_residual": 0, '
+            '"multiplier": null, "step_w": null, "step_s": null, "drift": null, '
+            '"rescaled_objective": null}')
+RECORD_1 = ('{"iter": 1, "objective": 2.5e-300, "clutter_objective": NaN, '
+            '"power": 123456789, "capon_residual": -0, "multiplier": 0.66666666666666663, '
+            '"step_w": Infinity, "step_s": -Infinity, "drift": 1e+17, '
+            '"rescaled_objective": 3.1415926535897931}')
+
+
+class TestFileFormat:
+    """Byte-exact files from hand-built values, independent of the platform."""
+
+    RECORDS = [
+        _record(0, 0.1, 1 / 3, 0.0, 1.0),
+        _record(1, 2.5e-300, float("nan"), -0.0, 123456789.0, np.float64(2 / 3),
+                float("inf"), float("-inf"), 1e17, np.pi),
+    ]
+
+    @pytest.mark.parametrize("seed, seed_token", [(7, "7"), (None, "null")])
+    def test_trace(self, tmp_path, seed, seed_token):
+        trace = cs.IterateTrace(records=self.RECORDS, solver="sdp", lambda_mode="zero",
+                                rescaled=True, seed=seed)
+        cs.emit_trace(trace, tmp_path / "t.csv", "csv")
+        assert (tmp_path / "t.csv").read_text() == HEADER + (
+            "0,0.10000000000000001,0.33333333333333331,1,0,,,,,\n"
+            "1,2.5e-300,nan,123456789,-0,0.66666666666666663,inf,-inf,1e+17,"
+            "3.1415926535897931\n")
+        cs.emit_trace(trace, tmp_path / "t.json", "json")
+        assert (tmp_path / "t.json").read_text() == (
+            '{\n  "solver": "sdp",\n  "lambda_mode": "zero",\n  "rescaled": true,\n'
+            f'  "seed": {seed_token},\n  "records": [\n'
+            f"    {RECORD_0},\n    {RECORD_1}\n  ]\n}}\n")
+        meta, rows = cs.read_trace(tmp_path / "t.json", "json")
+        assert meta["seed"] == seed and np.isnan(rows[1]["clutter_objective"])
+
+    def test_empty_trace(self, tmp_path):
+        trace = cs.IterateTrace(records=[], solver="qcqp")
+        cs.emit_trace(trace, tmp_path / "t.csv", "csv")
+        assert (tmp_path / "t.csv").read_text() == HEADER
+        cs.emit_trace(trace, tmp_path / "t.json", "json")
+        assert (tmp_path / "t.json").read_text() == (
+            '{\n  "solver": "qcqp",\n  "lambda_mode": "root",\n  "rescaled": false,\n'
+            '  "seed": null,\n  "records": [\n\n  ]\n}\n')
+
+    def test_table(self, tmp_path):
+        table = cs.ComparisonTable(rows=(
+            cs.TableRow("qcqp[root]", 1 / 3, 0.0, 1),
+            cs.TableRow("cls[root]+rescaled", 2.5e-300, 1e17, 12),
+        ))
+        cs.emit_table(table, tmp_path / "t.csv", "csv")
+        assert (tmp_path / "t.csv").read_text() == (
+            "algorithm,mean_final_objective,std_final_objective,trials\n"
+            "qcqp[root],0.33333333333333331,0,1\n"
+            "cls[root]+rescaled,2.5e-300,1e+17,12\n")
+        cs.emit_table(table, tmp_path / "t.json", "json")
+        assert (tmp_path / "t.json").read_text() == (
+            '{\n  "rows": [\n'
+            '    {"algorithm": "qcqp[root]", "mean_final_objective": 0.33333333333333331, '
+            '"std_final_objective": 0, "trials": 1},\n'
+            '    {"algorithm": "cls[root]+rescaled", "mean_final_objective": 2.5e-300, '
+            '"std_final_objective": 1e+17, "trials": 12}\n  ]\n}\n')
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -264,6 +354,59 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
         assert cs.main(["run", "--scenario", str(bad)]) == 2
+
+    @pytest.mark.parametrize("change, argv, field", [
+        ({"clutter": {"patches": 4, "azimuth_span": ["a", 1]}}, [], "clutter.azimuth_span[0]"),
+        ({"clutter": {"patches": 4, "azimuth_span": [None, 1]}}, [], "clutter.azimuth_span[0]"),
+        ({"clutter": {"patches": 4, "azimuth_span": [-1, True]}}, [], "clutter.azimuth_span[1]"),
+        ({"interferers": 3}, [], "interferers"),
+        ({"kappa": 10**400}, [], "kappa"),
+        ({"seed": -1}, [], "seed"),
+        ({}, ["--seed", "-1"], "seed"),
+        ({}, ["--iters", "-1"], "max_iter"),
+    ], ids=["span-string", "span-null", "span-bool", "interferers-int", "huge-int", "seed-file",
+            "seed-flag", "iters"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, change, argv, field):
+        self._expect_exit_2(tmp_path, capsys, change, argv, field)
+
+    @pytest.mark.parametrize("change, field", [
+        ({"kappa": float("inf")}, "kappa"),
+        ({"power": float("inf")}, "power"),
+        ({"noise": {"decay": float("inf")}}, "noise.decay"),
+        ({"target": {"azimuth": float("nan"), "elevation": 0.7, "doppler": -0.15}},
+         "target.azimuth"),
+        ({"clutter": {"patches": 4, "elevation": float("inf")}}, "clutter.elevation"),
+        ({"clutter": {"patches": 4, "azimuth_span": [0, float("inf")]}},
+         "clutter.azimuth_span[1]"),
+        ({"clutter": {"patches": 4, "patch_power": float("nan")}}, "clutter.patch_power"),
+        ({"clutter": {"patches": 4, "doppler_slope": float("nan")}}, "clutter.doppler_slope"),
+        ({"interferers": [{"azimuth": 0.5, "elevation": 0.7, "phase_rate": 0.02,
+                           "power": float("nan")}]}, "interferers[0].power"),
+        ({"interferers": [{"azimuth": float("-inf"), "elevation": 0.7,
+                           "phase_rate": 0.02}]}, "interferers[0].azimuth"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, change, field):
+        self._expect_exit_2(tmp_path, capsys, change, [], field)
+
+    @staticmethod
+    def _expect_exit_2(tmp_path, capsys, change, argv, field):
+        scenario = {
+            "dims": {"M": 2, "N": 3, "L": 2},
+            "target": {"azimuth": 0.2, "elevation": 0.7, "doppler": -0.15},
+            "clutter": {"patches": 4, "elevation": 0.3, "azimuth_span": [-1.2, 1.2]},
+            "seed": 7,
+            **change,
+        }
+        spath = tmp_path / "scenario.json"
+        spath.write_text(json.dumps(scenario))  # writes NaN and Infinity as Python reads them
+        code = cs.main(["run", "--scenario", str(spath), "--iters", "1", *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {field}:" in err
+
+    def test_compare_negative_seed_exits_2(self, capsys):
+        assert cs.main(["compare", "--iters", "0", "--seed", "-1"]) == 2
+        assert "error: seed:" in capsys.readouterr().err
 
     def test_numerical_error_exit_code(self, tmp_path):
         scenario = {

@@ -40,6 +40,15 @@ def test_benchmark_lists_its_metrics():
     assert "matrix_ops.bisect_root.evals" in out.stdout
 
 
+def test_benchmark_self_tests_pass():
+    # bench/test_bench.py pins the traced names and the per-run call counts
+    # of the benchmark; a refactor that breaks either fails here
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "bench/test_bench.py"], cwd=ROOT, capture_output=True, text=True,
+                         timeout=600)
+    assert out.returncode == 0, out.stdout[-4000:] + out.stderr[-2000:]
+
+
 def test_run_loads_no_scipy_signal():
     # scipy.signal costs tens of MB and most of a second to import; the
     # KMS noise term needs only scipy.linalg's banded solvers

@@ -13,21 +13,24 @@ from helpers import align_phase, dense_base_cov, random_complex, random_instance
 
 
 def project_feasible(points, y, kappa, power_bound):
-    """Exact projection of row vectors onto {s : s^H y = kappa, ||s||^2 <= P_o}
-    (hyperplane projection followed by a radial clamp toward the Capon point)."""
-    ny2 = float(np.real(y.conj() @ y))
-    center = kappa * y / ny2
-    r2 = max(power_bound - kappa**2 / ny2, 0.0)
-    beta = (kappa - points @ y.conj()) / ny2
-    on_plane = points + beta[:, None] * y[None, :]
-    t = on_plane - center[None, :]
-    norms = np.linalg.norm(t, axis=1)
-    scale = np.minimum(1.0, np.sqrt(r2) / np.maximum(norms, 1e-300))
-    return center[None, :] + scale[:, None] * t
+    """Exact projection of the rows of points[k] onto {s : s^H y[k] = kappa[k],
+    ||s||^2 <= power_bound[k]} for K stacked instances: points (K, S, N),
+    y (K, N), kappa and power_bound (K,). A hyperplane projection followed
+    by a radial clamp toward the Capon point."""
+    ny2 = np.real(np.einsum("kn,kn->k", y.conj(), y))
+    center = kappa[:, None] * y / ny2[:, None]
+    r2 = np.maximum(power_bound - kappa**2 / ny2, 0.0)
+    beta = (kappa[:, None] - (points @ y.conj()[:, :, None])[..., 0]) / ny2[:, None]
+    on_plane = points + beta[:, :, None] * y[:, None, :]
+    t = on_plane - center[:, None, :]
+    norms = np.sqrt(np.einsum("ksn,ksn->ks", t.conj(), t).real)
+    scale = np.minimum(1.0, np.sqrt(r2)[:, None] / np.maximum(norms, 1e-300))
+    return center[:, None, :] + scale[:, :, None] * t
 
 
-def projected_gradient_min(f0, y, kappa, power_bound, rng, starts=200, steps=10_000):
-    """Multi-start projected gradient descent on the waveform subproblem."""
+def feasible_starts(y, kappa, power_bound, rng, starts=200):
+    """`starts` random feasible points (rows) of one waveform subproblem:
+    random directions in the hyperplane, radii uniform up to the Capon radius."""
     n = y.size
     ny2 = float(np.real(y.conj() @ y))
     center = kappa * y / ny2
@@ -36,13 +39,25 @@ def projected_gradient_min(f0, y, kappa, power_bound, rng, starts=200, steps=10_
     tan -= np.outer(tan @ y.conj(), y) / ny2
     norms = np.maximum(np.linalg.norm(tan, axis=1), 1e-300)
     radii = r * rng.uniform(0, 1, starts)
-    pts = center[None, :] + (radii / norms)[:, None] * tan
-    step = 1.0 / (2.0 * np.linalg.norm(f0, 2) + 1e-12)
+    return center[None, :] + (radii / norms)[:, None] * tan
+
+
+def projected_gradient_min(instances, steps=10_000):
+    """Multi-start projected gradient descent on the waveform subproblem.
+
+    `instances` is a list of (f0, y, kappa, power_bound, starts), with the
+    starts from `feasible_starts`; all instances descend together, stacked
+    as (K, starts, N). Returns the K minima over the starts.
+    """
+    f0, y, kappa, power_bound, pts = (np.array(a) for a in zip(*instances))
+    f0t = f0.transpose(0, 2, 1)
+    step = 1.0 / (2.0 * np.linalg.norm(f0, 2, axis=(1, 2)) + 1e-12)
+    rate = (2.0 * step)[:, None, None]
     for _ in range(steps):
-        grad = pts @ f0.T
-        pts = project_feasible(pts - 2.0 * step * grad, y, kappa, power_bound)
-    objs = np.real(np.einsum("ij,ij->i", pts.conj(), pts @ f0.T))
-    return float(objs.min())
+        grad = pts @ f0t
+        pts = project_feasible(pts - rate * grad, y, kappa, power_bound)
+    objs = np.real(np.einsum("ksi,ksi->ks", pts.conj(), pts @ f0t))
+    return objs.min(axis=1)
 
 
 def solve_all(f0, y, kappa, p_o):
@@ -162,12 +177,15 @@ class TestQcqpSolve:
 
     def test_matches_projected_gradient_bruteforce(self):
         rng = np.random.default_rng(9)
+        instances = []
         for _ in range(5):
             f0, y, kappa, p_o = random_instance(rng, 2, eig_lo=0.3, eig_hi=3.0,
                                                 slack=rng.uniform(1.1, 2.0))
+            instances.append((f0, y, kappa, p_o,
+                              feasible_starts(y, kappa, p_o, rng, starts=100)))
+        for (f0, y, kappa, p_o, _), brute in zip(instances,
+                                                 projected_gradient_min(instances, steps=4000)):
             sol = cs.qcqp_solve(f0, y, kappa, p_o)
-            brute = projected_gradient_min(f0, y, kappa, p_o, rng,
-                                           starts=100, steps=4000)
             assert abs(sol.objective - brute) <= 1e-4 * (1.0 + abs(brute))
             assert sol.objective <= brute + 1e-6  # solver is never worse
 

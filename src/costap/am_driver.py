@@ -37,6 +37,7 @@ from .waveform_solvers import (
 )
 
 SOLVERS = ("am-direct", "qcqp", "sdp", "cls")
+LAMBDA_MODES = ("root", "zero")
 
 _MONOTONE_SLACK = 1e-9
 
@@ -91,7 +92,6 @@ class RunReport:
     """Outcome of one alternating-minimization run."""
 
     trace: IterateTrace
-    converged: bool
     final_objective: float
     monotonicity_violations: int
     hull_diameter_w: float
@@ -121,6 +121,17 @@ def initial_waveform(cfg: ScenarioConfig) -> np.ndarray:
     return draw_waveform(cfg.N, cfg.power, np.random.default_rng(cfg.seed))
 
 
+def check_run_args(solver: str, max_iter: int, lambda_mode: str) -> None:
+    """Reject an unknown solver or multiplier mode or a negative iteration count."""
+    if solver not in SOLVERS:
+        raise ValidationError("solver", f"unknown solver {solver!r}; expected one of {SOLVERS}")
+    if max_iter < 0:
+        raise ValidationError("max_iter", f"must be >= 0, got {max_iter}")
+    if lambda_mode not in LAMBDA_MODES:
+        raise ValidationError("lambda_mode",
+                              f"unknown mode {lambda_mode!r}; expected one of {LAMBDA_MODES}")
+
+
 def _am_step(bundle: CovarianceBundle, cfg: ScenarioConfig, s_prev: np.ndarray,
              solver: str, lambda_mode: str
              ) -> tuple[np.ndarray, np.ndarray, WaveformSolution, float]:
@@ -136,39 +147,32 @@ def _am_step(bundle: CovarianceBundle, cfg: ScenarioConfig, s_prev: np.ndarray,
         solution = qcqp_solve(f0, y, cfg.kappa, cfg.power, gamma_mode=lambda_mode)
     elif solver == "sdp":
         solution = sdp_dual_solve(f0, y, cfg.kappa, cfg.power, mode=lambda_mode)
-    elif solver == "cls":
-        solution = cls_solve(f0, y, cfg.kappa, cfg.power, mode=lambda_mode)
     else:
-        raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
+        solution = cls_solve(f0, y, cfg.kappa, cfg.power, mode=lambda_mode)
     return w, y, solution, half
 
 
 def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
-        obj_tol: float = 0.0, lambda_mode: str = "root", rescale: bool = False,
+        lambda_mode: str = "root", rescale: bool = False,
         init_waveform=None) -> RunReport:
-    """Alternate the receiver and waveform updates from a seeded start.
-
-    Stops after `max_iter` iterations or when successive full objectives
-    differ by at most `obj_tol` relative. With `rescale`, the iterate
+    """Alternate the receiver and waveform updates `max_iter` times from a
+    seeded start, or from `init_waveform`. With `rescale`, the iterate
     pair is additionally rescaled to exact full power after each
     waveform step and the resulting objective recorded as a separate
     trace column; the iteration itself always continues from the
     unrescaled pair. Solver errors are re-raised with the iteration
     index attached.
     """
-    if solver not in SOLVERS:
-        raise ValidationError("solver", f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    if max_iter < 0:
-        raise ValidationError("max_iter", f"must be >= 0, got {max_iter}")
-    bundle = build_bundle(cfg)
+    check_run_args(solver, max_iter, lambda_mode)
     if init_waveform is None:
         s = initial_waveform(cfg)
         seed: int | None = cfg.seed
     else:
         s = _as_complex(init_waveform).reshape(-1)
         if s.size != cfg.N:
-            raise ValueError(f"init_waveform has length {s.size}, expected N={cfg.N}")
+            raise ValidationError("init_waveform", f"has length {s.size}, expected N={cfg.N}")
         seed = None
+    bundle = build_bundle(cfg)
 
     trace = IterateTrace(records=[], solver=solver, lambda_mode=lambda_mode,
                          rescaled=rescale, seed=seed)
@@ -178,7 +182,6 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
     trace.records.append(_record(bundle, cfg, 0, w, s, half=None, multiplier=None,
                                  w_prev=None, s_prev=None, drift=None, rescale=rescale))
 
-    converged = False
     for k in range(1, max_iter + 1):
         w_prev, s_prev, y_prev = w, s, y
         try:
@@ -194,15 +197,7 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
                                      multiplier=solution.multiplier,
                                      w_prev=w_prev, s_prev=s_prev, drift=drift,
                                      rescale=rescale))
-        # obj_tol = 0 disables early stopping: run exactly max_iter.
-        if obj_tol > 0.0:
-            prev_obj = trace.records[-2].full_objective
-            curr_obj = trace.records[-1].full_objective
-            if abs(curr_obj - prev_obj) <= obj_tol * max(abs(prev_obj), TAU_ZERO):
-                converged = True
-                break
-
-    return _report(trace, converged)
+    return _report(trace)
 
 
 def _record(bundle: CovarianceBundle, cfg: ScenarioConfig, k: int, w, s, *,
@@ -235,7 +230,7 @@ def _record(bundle: CovarianceBundle, cfg: ScenarioConfig, k: int, w, s, *,
     )
 
 
-def _report(trace: IterateTrace, converged: bool) -> RunReport:
+def _report(trace: IterateTrace) -> RunReport:
     violations = 0
     prev_full = trace.records[0].full_objective
     for rec in trace.records[1:]:
@@ -249,7 +244,6 @@ def _report(trace: IterateTrace, converged: bool) -> RunReport:
     drifts = [r.drift for r in trace.records if r.drift is not None and np.isfinite(r.drift)]
     return RunReport(
         trace=trace,
-        converged=converged,
         final_objective=trace.records[-1].full_objective,
         monotonicity_violations=violations,
         hull_diameter_w=hull_diameter([r.w for r in trace.records]),
@@ -339,6 +333,7 @@ def functional_relation_check(trace: IterateTrace, cfg: ScenarioConfig,
         raise ValueError("trace must hold at least two iterations")
     solver = trace.solver if solver is None else solver
     lambda_mode = trace.lambda_mode if lambda_mode is None else lambda_mode
+    check_run_args(solver, len(trace) - 1, lambda_mode)
     bundle = build_bundle(cfg)
     for prev, curr in zip(trace.records[:-1], trace.records[1:]):
         w, _, solution, _ = _am_step(bundle, cfg, prev.s, solver, lambda_mode)

@@ -13,7 +13,7 @@ Scenario schema (JSON, angles in radians):
                  "patch_power": 1.0, "doppler_slope": 1.0},
      "seed": 1729}
 
-Unspecified fields take the defaults shown by scenario_from_dict.
+Omitted fields take the defaults of the config dataclasses (README lists them).
 
 A trace has one row per iteration with the columns TRACE_COLUMNS
 (rescaled_objective empty when not rescaling): in CSV a header line and
@@ -33,15 +33,24 @@ import dataclasses
 import functools
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
-from .am_driver import SOLVERS, IterateTrace, RunReport, draw_waveform, run
+from .am_driver import (
+    LAMBDA_MODES,
+    SOLVERS,
+    IterateTrace,
+    RunReport,
+    check_run_args,
+    draw_waveform,
+    run,
+)
 from .errors import CostapError, ParseError, ValidationError
-from .radar_model import ClutterSpec, InterfererSpec, ScenarioConfig, TargetSpec
+from .radar_model import FILE_PATHS, ScenarioConfig
 
 # trace column -> IterateRecord attribute, in file order
 _TRACE_FIELDS = {
@@ -72,13 +81,8 @@ class ExperimentSpec:
             raise ValidationError("trials", f"must be >= 1, got {self.trials}")
         if not self.solvers:
             raise ValidationError("solvers", "must be nonempty")
-        for s in self.solvers:
-            if s not in SOLVERS:
-                raise ValidationError("solvers", f"unknown solver {s!r}")
-        if self.max_iter < 0:
-            raise ValidationError("max_iter", f"must be >= 0, got {self.max_iter}")
-        if self.lambda_mode not in ("root", "zero"):
-            raise ValidationError("lambda_mode", f"must be 'root' or 'zero', got {self.lambda_mode!r}")
+        for solver in self.solvers:
+            check_run_args(solver, self.max_iter, self.lambda_mode)
 
 
 @dataclass(frozen=True)
@@ -109,8 +113,6 @@ def load_scenario(path) -> ScenarioConfig:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    if not text.strip():
-        raise ParseError(f"scenario file {path} is empty")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -120,82 +122,65 @@ def load_scenario(path) -> ScenarioConfig:
     return scenario_from_dict(doc)
 
 
-def _get_num(doc: dict, key: str, default, label: str) -> float:
-    value = doc.get(key, default)
-    if value is None:
-        raise ValidationError(label, "is required")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(label, f"must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        raise ValidationError(label, "is too large for a float") from None
+def _lookup(doc: dict, path: str, prefix: str):
+    """(label, value) of the dotted `path` below `doc`; the value is MISSING
+    when the key or one of its enclosing objects is absent, and the label
+    then names the outermost absent one."""
+    *sections, key = path.split(".")
+    for name in sections:
+        prefix += name
+        if name not in doc:
+            return prefix, dataclasses.MISSING
+        doc = doc[name]
+        if not isinstance(doc, dict):
+            raise ValidationError(prefix, "must be an object")
+        prefix += "."
+    return prefix + key, doc.get(key, dataclasses.MISSING)
 
 
-def _get_int(doc: dict, key: str, default, label: str) -> int:
-    value = doc.get(key, default)
+def _parse(kind, value, label: str):
+    """`value` from the scenario file as the annotated type `kind`."""
     if value is None:
         raise ValidationError(label, "is required")
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(label, f"must be an integer, got {value!r}")
-    return value
+    if kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise ValidationError(label, f"must be {'an integer' if kind is int else 'a number'}, "
+                                         f"got {value!r}")
+        try:
+            return kind(value)
+        except OverflowError:
+            raise ValidationError(label, "is too large for a float") from None
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ValidationError(label, "must be an object")
+        return _read(kind, value, label + ".")
+    items = typing.get_args(kind)  # tuple[T, ...] or a fixed-length tuple
+    if items[-1] is Ellipsis:
+        if not isinstance(value, list):
+            raise ValidationError(label, f"must be a list, got {value!r}")
+        items = items[:1] * len(value)
+    elif not isinstance(value, (list, tuple)) or len(value) != len(items):
+        raise ValidationError(label, f"must be a list of {len(items)} values, got {value!r}")
+    return tuple(_parse(t, v, f"{label}[{i}]") for i, (t, v) in enumerate(zip(items, value)))
+
+
+def _read(cls, doc: dict, prefix: str = ""):
+    """Build the config dataclass `cls` from its scenario-file object: each
+    field by its annotated type at its file path (FILE_PATHS), absent
+    fields at their dataclass defaults."""
+    kwargs, hints = {}, typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        label, value = _lookup(doc, FILE_PATHS.get(f.name, f.name), prefix)
+        if value is not dataclasses.MISSING:
+            kwargs[f.name] = _parse(hints[f.name], value, label)
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ValidationError(label, "is required")
+    return cls(**kwargs)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig; absent fields take defaults."""
-    dims = doc.get("dims")
-    if not isinstance(dims, dict):
-        raise ValidationError("dims", "must be an object with M, N, L")
-    target_doc = doc.get("target")
-    if not isinstance(target_doc, dict):
-        raise ValidationError("target", "must be an object with azimuth, elevation, doppler")
-    target = TargetSpec(
-        azimuth=_get_num(target_doc, "azimuth", None, "target.azimuth"),
-        elevation=_get_num(target_doc, "elevation", None, "target.elevation"),
-        doppler=_get_num(target_doc, "doppler", None, "target.doppler"),
-    )
-    noise = doc.get("noise", {})
-    if not isinstance(noise, dict):
-        raise ValidationError("noise", "must be an object")
-    itf_docs = doc.get("interferers", [])
-    if not isinstance(itf_docs, list):
-        raise ValidationError("interferers", f"must be a list, got {itf_docs!r}")
-    interferers = []
-    for i, itf in enumerate(itf_docs):
-        if not isinstance(itf, dict):
-            raise ValidationError(f"interferers[{i}]", "must be an object")
-        interferers.append(InterfererSpec(
-            azimuth=_get_num(itf, "azimuth", None, f"interferers[{i}].azimuth"),
-            elevation=_get_num(itf, "elevation", None, f"interferers[{i}].elevation"),
-            phase_rate=_get_num(itf, "phase_rate", None, f"interferers[{i}].phase_rate"),
-            power=_get_num(itf, "power", 1.0, f"interferers[{i}].power"),
-        ))
-    clutter_doc = doc.get("clutter", {})
-    if not isinstance(clutter_doc, dict):
-        raise ValidationError("clutter", "must be an object")
-    span = clutter_doc.get("azimuth_span", (0.0, 0.0))
-    if not isinstance(span, (list, tuple)) or len(span) != 2:
-        raise ValidationError("clutter.azimuth_span", f"must be [lo, hi], got {span!r}")
-    clutter = ClutterSpec(
-        patches=_get_int(clutter_doc, "patches", 1, "clutter.patches"),
-        elevation=_get_num(clutter_doc, "elevation", 0.0, "clutter.elevation"),
-        azimuth_span=tuple(_get_num(dict(enumerate(span)), i, None, f"clutter.azimuth_span[{i}]")
-                           for i in (0, 1)),
-        patch_power=_get_num(clutter_doc, "patch_power", 1.0, "clutter.patch_power"),
-        doppler_slope=_get_num(clutter_doc, "doppler_slope", 1.0, "clutter.doppler_slope"),
-    )
-    return ScenarioConfig(
-        M=_get_int(dims, "M", None, "dims.M"),
-        N=_get_int(dims, "N", None, "dims.N"),
-        L=_get_int(dims, "L", None, "dims.L"),
-        target=target,
-        kappa=_get_num(doc, "kappa", 1.0, "kappa"),
-        power=_get_num(doc, "power", 1.0, "power"),
-        noise_decay=_get_num(noise, "decay", 0.005, "noise.decay"),
-        interferers=tuple(interferers),
-        clutter=clutter,
-        seed=_get_int(doc, "seed", 0, "seed"),
-    )
+    return _read(ScenarioConfig, doc)
 
 
 def _splitmix64(seed: int, index: int) -> int:
@@ -301,20 +286,33 @@ def emit_trace(trace: IterateTrace, path, fmt: str = "csv") -> None:
 
 
 def read_trace(path, fmt: str = "csv"):
-    """Parse an emitted trace back into (metadata, rows of floats/None)."""
+    """Parse an emitted trace back into (metadata, rows of floats/None).
+    Raises ParseError, naming the line or key, for a malformed file."""
     text = Path(path).read_text()
     if fmt == "csv":
-        header, *lines = text.splitlines()
-        if tuple(header.split(",")) != TRACE_COLUMNS:
-            raise ParseError(f"unexpected trace header {header!r}")
+        lines = text.splitlines()
+        if not lines or tuple(lines[0].split(",")) != TRACE_COLUMNS:
+            raise ParseError(f"{path}: line 1: expected the header {','.join(TRACE_COLUMNS)}")
         rows = []
-        for line in lines:
-            it, *cells = line.split(",")
-            rows.append({"iter": int(it), **{name: None if cell == "" else float(cell)
-                                             for name, cell in zip(TRACE_COLUMNS[1:], cells)}})
+        for n, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != len(TRACE_COLUMNS):
+                raise ParseError(f"{path}: line {n}: expected {len(TRACE_COLUMNS)} cells, "
+                                 f"got {len(cells)}")
+            try:
+                values = [int(cells[0])] + [None if c == "" else float(c) for c in cells[1:]]
+            except ValueError as exc:
+                raise ParseError(f"{path}: line {n}: {exc}") from None
+            rows.append(dict(zip(TRACE_COLUMNS, values)))
         return {}, rows
     if fmt == "json":
-        doc = json.loads(text)
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: not valid JSON: {exc}") from None
+        for key in (*_TRACE_META, "records"):
+            if not isinstance(doc, dict) or key not in doc:
+                raise ParseError(f"{path}: missing key {key!r}")
         return {k: doc[k] for k in _TRACE_META}, doc["records"]
     raise ValueError(f"unknown trace format {fmt!r}")
 
@@ -398,7 +396,7 @@ def _add_common(p: argparse.ArgumentParser, multi_solver: bool) -> None:
     else:
         p.add_argument("--solver", choices=SOLVERS, default="qcqp")
     p.add_argument("--iters", type=int, default=20, metavar="K")
-    p.add_argument("--lambda-mode", choices=("root", "zero"), default="root",
+    p.add_argument("--lambda-mode", choices=LAMBDA_MODES, default="root",
                    dest="lambda_mode")
     p.add_argument("--rescale", action="store_true",
                    help="also record the full-power rescaled objective")

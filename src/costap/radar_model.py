@@ -49,11 +49,15 @@ class ClutterSpec:
     """Discrete clutter ring: `patches` scatterers, azimuths linearly
     spaced over `azimuth_span` at a common elevation."""
 
-    patches: int
-    elevation: float
-    azimuth_span: tuple[float, float]
+    patches: int = 1
+    elevation: float = 0.0
+    azimuth_span: tuple[float, float] = (0.0, 0.0)
     patch_power: float = 1.0
     doppler_slope: float = 1.0
+
+
+# Scenario-file path of every config field not stored under its own name.
+FILE_PATHS = {"M": "dims.M", "N": "dims.N", "L": "dims.L", "noise_decay": "noise.decay"}
 
 
 @dataclass(frozen=True)
@@ -72,16 +76,14 @@ class ScenarioConfig:
     power: float = 1.0
     noise_decay: float = 0.005
     interferers: tuple[InterfererSpec, ...] = ()
-    clutter: ClutterSpec = field(
-        default_factory=lambda: ClutterSpec(patches=1, elevation=0.0, azimuth_span=(0.0, 0.0))
-    )
+    clutter: ClutterSpec = field(default_factory=ClutterSpec)
     seed: int = 0
 
     def __post_init__(self):
         for name in ("M", "N", "L"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(f"dims.{name}", f"must be an integer >= 1, got {v!r}")
+                raise ValidationError(FILE_PATHS[name], f"must be an integer >= 1, got {v!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValidationError("seed", f"must be an integer >= 0, got {seed!r}")
@@ -92,8 +94,10 @@ class ScenarioConfig:
             raise ValidationError("power", f"must be positive, got {self.power!r}")
         if not self.kappa > 0:
             raise ValidationError("kappa", f"must be positive, got {self.kappa!r}")
-        if not self.noise_decay > 0:
-            raise ValidationError("noise.decay", f"must be positive, got {self.noise_decay!r}")
+        # rho = exp(-decay) = 1 makes R_n the singular all-ones matrix
+        if not (self.noise_decay > 0 and np.exp(-self.noise_decay) < 1.0):
+            raise ValidationError(FILE_PATHS["noise_decay"], "must be positive with "
+                                  f"exp(-decay) < 1, got {self.noise_decay!r}")
         if self.clutter.patches < 1:
             raise ValidationError("clutter.patches", f"must be >= 1, got {self.clutter.patches!r}")
         lo, hi = self.clutter.azimuth_span
@@ -114,7 +118,7 @@ class ScenarioConfig:
             for f in fields(spec):
                 value = getattr(spec, f.name)
                 if f.type == "float":
-                    yield prefix + ("noise.decay" if f.name == "noise_decay" else f.name), value
+                    yield prefix + FILE_PATHS.get(f.name, f.name), value
                 elif f.type == "tuple[float, float]":
                     yield from ((f"{prefix}{f.name}[{j}]", v) for j, v in enumerate(value))
 

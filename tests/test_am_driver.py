@@ -286,9 +286,17 @@ class TestRun:
         with pytest.raises(ValueError):
             cs.run(small_cfg, "newton")
 
-    @pytest.mark.parametrize("kwargs, field", [({"solver": "newton"}, "solver"),
-                                               ({"max_iter": -1}, "max_iter")])
-    def test_bad_arguments_name_the_field(self, small_cfg, kwargs, field):
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"solver": "newton"}, "solver"),
+        ({"max_iter": -1}, "max_iter"),
+        ({"lambda_mode": "bogus"}, "lambda_mode"),
+        ({"init_waveform": np.ones(5, dtype=complex)}, "init_waveform"),
+    ])
+    def test_bad_arguments_name_the_field(self, small_cfg, monkeypatch, kwargs, field):
+        def no_bundle(cfg):
+            raise AssertionError("bundle built before the arguments were checked")
+
+        monkeypatch.setattr(am_driver, "build_bundle", no_bundle)
         with pytest.raises(cs.ValidationError) as err:
             cs.run(small_cfg, **kwargs)
         assert err.value.field == field
@@ -296,11 +304,6 @@ class TestRun:
     def test_init_waveform_length_checked(self, small_cfg):
         with pytest.raises(ValueError):
             cs.run(small_cfg, "qcqp", init_waveform=np.ones(5, dtype=complex))
-
-    def test_obj_tol_stops_early(self, small_cfg):
-        report = cs.run(small_cfg, "qcqp", max_iter=50, obj_tol=1e-2)
-        assert report.converged
-        assert len(report.trace) < 51
 
     def test_drift_column_trend(self, small_cfg):
         report = cs.run(small_cfg, "qcqp", max_iter=10)
@@ -393,3 +396,11 @@ class TestFunctionalRelationCheck:
         report = cs.run(small_cfg, "qcqp", max_iter=0)
         with pytest.raises(ValueError):
             cs.functional_relation_check(report.trace, small_cfg)
+
+    @pytest.mark.parametrize("kwargs, field", [({"solver": "newton"}, "solver"),
+                                               ({"lambda_mode": "bogus"}, "lambda_mode")])
+    def test_bad_arguments_name_the_field(self, small_cfg, kwargs, field):
+        report = cs.run(small_cfg, "qcqp", max_iter=1)
+        with pytest.raises(cs.ValidationError) as err:
+            cs.functional_relation_check(report.trace, small_cfg, **kwargs)
+        assert err.value.field == field

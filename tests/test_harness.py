@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestLoadScenario:
     def test_missing_required_field(self):
         with pytest.raises(cs.ValidationError, match="dims"):
             cs.scenario_from_dict({"target": {"azimuth": 0, "elevation": 0, "doppler": 0}})
+
+    def test_readme_scenario_is_the_bundled_demo(self, default_cfg):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        section = readme[readme.index("## Scenario files"):]
+        block = section[section.index("```json") + len("```json"):]
+        doc = json.loads(block[:block.index("```")])
+        assert cs.scenario_from_dict(doc) == default_cfg
 
 
 class TestTrialSeeding:
@@ -126,6 +134,12 @@ class TestRunComparison:
             cs.ExperimentSpec(scenario=small_cfg, solvers=("qcqp",), trials=0)
         with pytest.raises(cs.ValidationError, match="solvers"):
             cs.ExperimentSpec(scenario=small_cfg, solvers=())
+        for kwargs, field in (({"solvers": ("qcqp", "newton")}, "solver"),
+                              ({"max_iter": -1}, "max_iter"),
+                              ({"lambda_mode": "bogus"}, "lambda_mode")):
+            with pytest.raises(cs.ValidationError) as err:
+                cs.ExperimentSpec(scenario=small_cfg, **{"solvers": ("qcqp",), **kwargs})
+            assert err.value.field == field
 
 
 class TestEmitTrace:
@@ -295,6 +309,19 @@ class TestFileFormat:
             '    {"algorithm": "cls[root]+rescaled", "mean_final_objective": 2.5e-300, '
             '"std_final_objective": 1e+17, "trials": 12}\n  ]\n}\n')
 
+    @pytest.mark.parametrize("fmt, text, where", [
+        ("csv", "", "line 1"),
+        ("csv", HEADER + "0,1.0\n", "line 2"),
+        ("csv", HEADER + "0,1,1,1,0,,,,,\nx,1,1,1,0,,,,,\n", "line 3"),
+        ("json", "{", "not valid JSON"),
+        ("json", '{"records": []}', "'solver'"),
+    ], ids=["csv-empty", "csv-short-row", "csv-bad-cell", "json-truncated", "json-no-meta"])
+    def test_malformed_trace_raises_parse_error(self, tmp_path, fmt, text, where):
+        path = tmp_path / f"t.{fmt}"
+        path.write_text(text)
+        with pytest.raises(cs.ParseError, match=where):
+            cs.read_trace(path, fmt)
+
 
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -364,8 +391,9 @@ class TestCli:
         ({"seed": -1}, [], "seed"),
         ({}, ["--seed", "-1"], "seed"),
         ({}, ["--iters", "-1"], "max_iter"),
+        ({"noise": {"decay": 1e-20}}, [], "noise.decay"),
     ], ids=["span-string", "span-null", "span-bool", "interferers-int", "huge-int", "seed-file",
-            "seed-flag", "iters"])
+            "seed-flag", "iters", "decay-tiny"])
     def test_malformed_input_exits_2(self, tmp_path, capsys, change, argv, field):
         self._expect_exit_2(tmp_path, capsys, change, argv, field)
 

@@ -140,15 +140,15 @@ def _am_step(bundle: CovarianceBundle, cfg: ScenarioConfig, s_prev: np.ndarray,
     w = mvdr_update(r_prev, bundle.target_map, s_prev, cfg.kappa)
     half = r_prev.quad(w)
     y = bundle.target_map.conj().T @ w
-    f0 = bundle.hessian(w)
+    b = bundle.hessian(w)  # the clutter factor, F0 = B^H B
     if solver == "am-direct":
-        solution = direct_update(f0, bundle.target_map, w, cfg.kappa, cfg.power, lambda_mode)
+        solution = direct_update(b, bundle.target_map, w, cfg.kappa, cfg.power, lambda_mode)
     elif solver == "qcqp":
-        solution = qcqp_solve(f0, y, cfg.kappa, cfg.power, gamma_mode=lambda_mode)
+        solution = qcqp_solve(b, y, cfg.kappa, cfg.power, gamma_mode=lambda_mode)
     elif solver == "sdp":
-        solution = sdp_dual_solve(f0, y, cfg.kappa, cfg.power, mode=lambda_mode)
+        solution = sdp_dual_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
     else:
-        solution = cls_solve(f0, y, cfg.kappa, cfg.power, mode=lambda_mode)
+        solution = cls_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
     return w, y, solution, half
 
 

@@ -32,6 +32,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -341,8 +342,34 @@ def _load_cfg(args) -> ScenarioConfig:
     return cfg
 
 
+def _check_out(path, directory: bool) -> None:
+    """Reject an --out location that cannot be written, before any run.
+
+    A trace file needs an existing directory; a results directory is
+    created with its parents, so its nearest existing ancestor must be a
+    directory and the path itself, if it exists, too.
+    """
+    if path is None:
+        return
+    out = Path(path)
+    if out.is_dir() != directory and out.exists():
+        kind = "a directory" if out.is_dir() else "not a directory"
+        raise ValidationError("--out", f"{path} is {kind}")
+    target = out if directory else out.parent
+    existing = target
+    while not existing.exists():
+        existing = existing.parent
+    if not directory and existing != target:
+        raise ValidationError("--out", f"directory {target} does not exist")
+    if not existing.is_dir():
+        raise ValidationError("--out", f"{existing} is not a directory")
+    if not os.access(existing, os.W_OK):
+        raise ValidationError("--out", f"directory {existing} is not writable")
+
+
 def _cmd_run(args) -> int:
     cfg = _load_cfg(args)
+    _check_out(args.out, directory=False)
     report = run(cfg, args.solver, max_iter=args.iters,
                  lambda_mode=args.lambda_mode, rescale=args.rescale)
     last = report.trace.records[-1]
@@ -370,6 +397,7 @@ def _run_experiment(args, default_trials: int, write_traces: bool) -> int:
         max_iter=args.iters,
         seed=args.seed if args.seed is not None else cfg.seed,
     )
+    _check_out(args.out, directory=True)
     traces, table = run_comparison(spec)
     _print_table(table)
     if args.out:

@@ -307,15 +307,18 @@ class CovarianceBundle:
         return SpaceTimeCov(None, self._factor(s, interference=False))
 
     def hessian(self, w) -> np.ndarray:
-        """F0(w) = sum_q (A_q^H w)(A_q^H w)^H, the N x N clutter Hessian.
+        """The Q x N clutter factor B(w), row q = (A_q^H w)^H.
 
+        It factors the clutter Hessian F0(w) = sum_q (A_q^H w)(A_q^H w)^H
+        = B^H B, which is never formed: s^H F0(w) s = ||B s||^2 =
+        w^H R_c(s) w for every waveform s, and F0 has rank at most Q.
         A_q^H w contracts w, reshaped to (L, N, M), with conj(a_q) and then
-        conj(v_q); s^H F0(w) s = w^H R_c(s) w for every waveform s.
+        conj(v_q).
         """
         v, a = self.clutter_doppler, self.clutter_spatial
         x = np.asarray(w, dtype=np.complex128).reshape(v.shape[1], -1, a.shape[1])
         u = np.einsum("ql,lnq->qn", v.conj(), x @ a.conj().T)  # row q: A_q^H w
-        return u.T @ u.conj()
+        return u.conj()
 
 
 def total_cov(bundle: CovarianceBundle, s) -> SpaceTimeCov:

@@ -2,36 +2,41 @@
 
 The subproblem at each outer iteration is
 
-    min_s  s^H F0 s   s.t.  s^H y = kappa,  ||s||^2 <= P_o
+    min_s  s^H F0 s = ||B s||^2   s.t.  s^H y = kappa,  ||s||^2 <= P_o
 
-with F0 the N x N clutter Hessian for the current weights and
-y = G^H w. Writing s = q + kappa*y/||y||^2 with q orthogonal to y
-reduces it to a trust-region-style problem over the tangent space:
+with B the k x N clutter factor of the current weights (F0 = B^H B has
+rank at most k and is never formed) and y = G^H w. Writing
+s = W x + kappa*y/||y||^2, with W an orthonormal basis of the
+complement of y, reduces it to least squares on a ball:
 
-    min_q  q^H P F0 P q + 2(kappa/||y||^2) Re{q^H P F0 y}
-    s.t.   ||P q||^2 <= r^2 := P_o - kappa^2/||y||^2
+    min_x  ||C x - d||^2   s.t.  ||x||^2 <= r^2 := P_o - kappa^2/||y||^2
 
-where P projects onto the orthogonal complement of y. One
-``WaveformProblem`` per solve holds what every route shares: the
-validated inputs, the Capon point kappa*y/||y||^2, an orthonormal basis
-W of y-perp and r^2, and, the first time qcqp, sdp or the certificate
-needs it, the eigen-decomposition of W^H F0 W. One multiplier regime is
-shared too (``_solve``): zero mode takes the point at multiplier 0 and
-ignores the bound; root mode returns the Capon point when r^2 = 0, the
-point at multiplier 0 when it fits, and otherwise the root of the
-route's decreasing secular function from the one safeguarded
+with C = B W and d = -(kappa/||y||^2) B y. One ``WaveformProblem`` per
+solve holds what every route shares: the validated inputs, the Capon
+point kappa*y/||y||^2, W, r^2, (C, d) and, the first time qcqp, sdp or
+the certificate needs it, the eigen-decomposition of M = C^H C. One
+multiplier regime is shared too (``_solve``): zero mode takes the point
+at multiplier 0 and ignores the bound; root mode returns the Capon point
+when r^2 = 0, the point at multiplier 0 when it fits, and otherwise the
+root of the route's decreasing secular function from the one safeguarded
 Newton-bisection solver, ``bisect_root``, which stops at float
 resolution. Each route keeps only its own decomposition and, from it,
-its secular function, derivative, bracket and point:
+its secular function, derivative, bracket and point. Eigenpairs of a
+factor's X^H X come from the smaller of its two Gram matrices
+(``_gram_eigh``), so with k < N a step costs O(k^2 N) plus the products
+with W, not O(N^3):
 
-* ``direct_update``  eigh of F0: ridge update
-  s = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y);
-* ``qcqp_solve``     eigh of W^H F0 W: tangent-space secular equation;
+* ``direct_update``  eigh of the Gram of B: ridge update
+  s = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y), with the null
+  space of F0 explicit (the part of y outside the row space of B)
+  when k < N;
+* ``qcqp_solve``     eigh of the Gram of C: tangent-space secular
+  equation;
 * ``sdp_dual_solve`` the same secular equation, bracketed by
   golden-section search on the 1-D concave dual, with a rank-1
   strong-duality certificate;
-* ``cls_solve``      SVD of F0^{1/2} W: least squares ||C q - d||^2 on
-  the norm ball.
+* ``cls_solve``      thin SVD of C: least squares ||C x - d||^2 on the
+  norm ball.
 
 All four agree on the optimum; they differ in the numerical path, which
 is the point of the cross-checks in the test suite. Multipliers are
@@ -53,7 +58,10 @@ from .errors import (
     ZeroSteering,
     ZeroWaveform,
 )
-from .matrix_ops import TAU_PSD, TAU_RANK, TAU_ZERO, _as_complex, bisect_root, hermitian_sqrt
+from .matrix_ops import TAU_PSD, TAU_RANK, TAU_ZERO, _as_complex, bisect_root
+# No route uses it; the benchmark still traces it here until its contract
+# drops it (ROADMAP item 1).
+from .matrix_ops import hermitian_sqrt  # noqa: F401
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_RTOL = 1e-8
@@ -82,30 +90,49 @@ def _feasible_radius2(power_bound: float, kappa: float, ny2: float) -> float:
     return max(r2, 0.0)
 
 
+def _gram_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Eigenpairs of X^H X for a k x n factor X, from its smaller Gram matrix.
+
+    Returns (mu, vecs, left). When k >= n: eigh of X^H X itself, vecs its
+    orthonormal eigenvectors and left None. When k < n: eigh of the k x k
+    X X^H = U diag(mu) U^H, left = U and vecs = X^H U, whose columns are
+    eigenvectors of X^H X with squared norms mu; its other n - k
+    eigenvalues are exactly zero, and X^H z = vecs @ (U^H z) for every z.
+    """
+    k, n = x.shape
+    if k >= n:
+        mu, vecs = np.linalg.eigh(x.conj().T @ x)
+        return mu, vecs, None
+    mu, left = np.linalg.eigh(x @ x.conj().T)
+    return mu, x.conj().T @ left, left
+
+
 @dataclass(frozen=True, eq=False)
 class WaveformProblem:
     """One waveform subproblem and the Capon geometry every route shares.
 
-    Routes build it with ``_validated``. The derived quantities are
-    computed on first use, so each route pays only for what it reads:
-    r^2 raises Infeasible only where the power bound matters, and the
-    eigen-decomposition of M = W^H F0 W (the tangent secular function,
-    point and dual, O(N) per evaluation) is formed once, for qcqp, sdp
-    or the certificate.
+    `factor` is the k x N clutter factor B, F0 = B^H B; any finite factor
+    gives a PSD F0. Routes build the problem with ``_validated``. The
+    derived quantities are computed on first use, so each route pays
+    only for what it reads: r^2 raises Infeasible only where the power
+    bound matters, and the eigen-decomposition of M = C^H C (the tangent
+    secular function, point and dual, O(min(k, N)) per evaluation) is
+    formed once, from the smaller Gram matrix of C, for qcqp, sdp or the
+    certificate.
     """
 
-    hessian: np.ndarray
+    factor: np.ndarray
     steering: np.ndarray
     kappa: float
     power_bound: float
 
     @classmethod
-    def _validated(cls, f0, y_w, kappa: float, power_bound: float) -> WaveformProblem:
-        f0 = _as_complex(f0)
+    def _validated(cls, factor, y_w, kappa: float, power_bound: float) -> WaveformProblem:
+        b = _as_complex(factor)
         y, _ = _steering_vector(y_w)
-        if f0.shape != (y.size, y.size):
-            raise ValueError(f"Hessian shape {f0.shape} does not match steering length {y.size}")
-        return cls(f0, y, float(kappa), float(power_bound))
+        if b.ndim != 2 or b.shape[1] != y.size:
+            raise ValueError(f"factor shape {b.shape} does not match steering length {y.size}")
+        return cls(b, y, float(kappa), float(power_bound))
 
     @cached_property
     def ny2(self) -> float:
@@ -125,15 +152,36 @@ class WaveformProblem:
         return _orth_complement(self.steering)
 
     @cached_property
+    def least_squares(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C, d) = (B W, -(kappa/||y||^2) B y): s = W x + Capon point
+        costs ||C x - d||^2."""
+        b = self.factor
+        return b @ self.basis, -(self.kappa / self.ny2) * (b @ self.steering)
+
+    def apply_hessian(self, x: np.ndarray) -> np.ndarray:
+        """F0 x = B^H (B x)."""
+        return self.factor.conj().T @ (self.factor @ x)
+
+    @cached_property
     def _spectrum(self) -> tuple[np.ndarray, ...]:
-        """(mu, V, c, |c|^2, kept): M = V diag(mu) V^H, c the linear term
-        (kappa/||y||^2) V^H W^H F0 y, kept the eigenvalues above TAU_RANK."""
-        m = self.basis.conj().T @ self.hessian @ self.basis
-        mu, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-        ctilde = (self.kappa / self.ny2) * (self.basis.conj().T @ (self.hessian @ self.steering))
-        chat = vecs.conj().T @ ctilde
+        """(mu, V, c, abs2, kept): M = C^H C has eigenvalues mu on the
+        columns of V, W V (-c/(mu + gamma)) is the tangent point at
+        multiplier gamma, abs2 = ||V_i||^2 |c_i|^2 are the secular weights
+        and kept marks the eigenvalues above TAU_RANK."""
+        c_mat, d = self.least_squares
+        mu, vecs, left = _gram_eigh(c_mat)
         mu_scale = float(np.max(np.abs(mu))) if mu.size else 0.0
-        return mu, vecs, chat, np.abs(chat) ** 2, mu > TAU_RANK * max(mu_scale, TAU_ZERO)
+        kept = mu > TAU_RANK * max(mu_scale, TAU_ZERO)
+        if left is None:
+            chat = -(vecs.conj().T @ (c_mat.conj().T @ d))
+            abs2 = np.abs(chat) ** 2
+        else:
+            # C^H d lies in the range of M, but below the cutoff the Gram
+            # form cannot tell an eigenpair's weight mu |c|^2 from rounding
+            # (d is free outside the range of C): those pairs carry none
+            chat = np.where(kept, -(left.conj().T @ d), 0.0)
+            abs2 = mu * np.abs(chat) ** 2
+        return mu, vecs, chat, abs2, kept
 
     def secular(self, gamma: float) -> float:
         """||P q(gamma)||^2 - r^2, decreasing on gamma >= 0.
@@ -211,8 +259,8 @@ class WaveformSolution:
 
 def _make_solution(problem: WaveformProblem, s: np.ndarray, multiplier: float,
                    kind: str) -> WaveformSolution:
-    f0, y = problem.hessian, problem.steering
-    fs = f0 @ s
+    y = problem.steering
+    fs = problem.apply_hessian(s)
     v = fs + multiplier * s
     tangential = v - y * ((y.conj() @ v) / problem.ny2)
     nv = float(np.linalg.norm(v))
@@ -253,25 +301,39 @@ def _solve(problem: WaveformProblem, mode: str, kind: str, point, secular, deriv
     return _make_solution(problem, s, multiplier, kind)
 
 
-def direct_update(f0, g_map, w, kappa: float, power_bound: float,
+def direct_update(factor, g_map, w, kappa: float, power_bound: float,
                   lambda_mode: str = "root") -> WaveformSolution:
     """Ridge-form waveform update with the multiplier found by root finding.
 
     In root mode, lam is the smallest nonnegative value for which
-    s(lam) = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y) meets the
-    power bound; lam = 0 is returned exactly (same code path as zero
-    mode) whenever the unconstrained update is already feasible. Zero
-    mode requires an invertible F0 and never enforces the bound.
+    s(lam) = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y), F0 = B^H B
+    for the clutter factor B, meets the power bound; lam = 0 is returned
+    exactly (same code path as zero mode) whenever the unconstrained
+    update is already feasible. Zero mode requires an invertible F0 and
+    never enforces the bound.
     """
     y_w = _as_complex(g_map).conj().T @ _as_complex(w).reshape(-1)
-    problem = WaveformProblem._validated(f0, y_w, kappa, power_bound)
+    problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
     y, ny2 = problem.steering, problem.ny2
 
-    evals, evecs = np.linalg.eigh(problem.hessian)
+    evals, evecs, left = _gram_eigh(problem.factor)
     spectral = float(np.max(np.abs(evals))) if evals.size else 0.0
     floor = TAU_PSD * max(spectral, TAU_ZERO)
+    if left is not None:
+        # rank F0 < N: the eigenvectors above the floor span its range, and
+        # the rest of y, in its null space, is one more eigenvalue 0
+        keep = evals > floor
+        evals, vecs = evals[keep], evecs[:, keep] / np.sqrt(evals[keep])
+        ytilde = vecs.conj().T @ y
+        y_null = y - vecs @ ytilde
+        y_null -= vecs @ (vecs.conj().T @ y_null)  # rounding leaves some of it in the range
+        n_null = float(np.linalg.norm(y_null))
+        evals = np.concatenate(([0.0], evals))
+        evecs = np.column_stack((y_null / n_null if n_null > 0.0 else y_null, vecs))
+        ytilde = np.concatenate(([n_null], ytilde))
+    else:
+        ytilde = evecs.conj().T @ y
     singular = bool(evals.size == 0 or float(evals[0]) <= floor)
-    ytilde = evecs.conj().T @ y
     abs2 = np.abs(ytilde) ** 2
 
     def ridge(lam: float) -> tuple[np.ndarray, float]:
@@ -323,7 +385,7 @@ def direct_update(f0, g_map, w, kappa: float, power_bound: float,
     return _solve(problem, lambda_mode, "lambda", point, phi, dphi, bracket)
 
 
-def qcqp_solve(f0, y_w, kappa: float, power_bound: float,
+def qcqp_solve(factor, y_w, kappa: float, power_bound: float,
                gamma_mode: str = "root") -> WaveformSolution:
     """Tangent-space solve with the multiplier from the secular equation.
 
@@ -332,7 +394,7 @@ def qcqp_solve(f0, y_w, kappa: float, power_bound: float,
     ||q(gamma*)||^2 = r^2. Zero mode pins gamma = 0 and ignores the
     power bound entirely.
     """
-    problem = WaveformProblem._validated(f0, y_w, kappa, power_bound)
+    problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
     return _solve(problem, gamma_mode, "gamma", problem.tangent_point, problem.secular,
                   problem.secular_derivative, lambda: (0.0, problem.root_bound()))
 
@@ -356,21 +418,21 @@ def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
     return a, b
 
 
-def sdp_dual_solve(f0, y_w, kappa: float, power_bound: float,
+def sdp_dual_solve(factor, y_w, kappa: float, power_bound: float,
                    mode: str = "root") -> WaveformSolution:
     """Maximize the 1-D concave dual of the tangent problem.
 
     g(alpha) = alpha*kappa^2/||y||^2 - alpha*P_o
-               - (kappa^2/||y||^4) b^H B(alpha)^+ b
+               - (kappa^2/||y||^4) b^H M(alpha)^+ b
 
-    with B(alpha) = P(F0 + alpha*P)P and b = P F0 y, maximized by
+    with M(alpha) = P(F0 + alpha*P)P and b = P F0 y, maximized by
     golden-section search on [0, root_bound]; the final golden
     interval goes to the shared root solver on the dual's derivative,
     the secular function. The primal point is recovered from the
     optimizing alpha and certified against the dual value (rank-1
     lifting, weak/strong duality gap).
     """
-    problem = WaveformProblem._validated(f0, y_w, kappa, power_bound)
+    problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
 
     def bracket() -> tuple[float, float]:
         lo, hi = _golden_max(problem.dual_value, 0.0, problem.root_bound())
@@ -396,7 +458,7 @@ def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
     [[P F0 P, c], [c^H, 0]], c = (kappa/||y||^2) P F0 y, and with the
     ball [[P, 0], [0, 0]] are the quadratic forms
     q^H F0 q + 2 Re(q^H c) (primal value) and ||q||^2 (constraint
-    value), evaluated on F0 directly. The dual is re-evaluated at the
+    value), with F0 applied as B^H (B q). The dual is re-evaluated at the
     solution's multiplier from the problem's eigen-decomposition; the
     gap is primal minus dual.
     """
@@ -406,7 +468,7 @@ def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
     y = prob.steering
     q = solution.s - prob.center
     q = q - y * ((y.conj() @ q) / prob.ny2)
-    fq = prob.hessian @ q
+    fq = prob.apply_hessian(q)
     primal = (float(np.real(q.conj() @ fq))
               + 2.0 * (prob.kappa / prob.ny2) * float(np.real(fq.conj() @ y)))
 
@@ -423,20 +485,21 @@ def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
     )
 
 
-def cls_solve(f0, y_w, kappa: float, power_bound: float,
+def cls_solve(factor, y_w, kappa: float, power_bound: float,
               mode: str = "root") -> WaveformSolution:
     """Hyperellipsoid-constrained least squares route, solved by SVD.
 
-    With S the Hermitian square root of F0 (S^H S = F0), C = S P and
-    d = -(kappa/||y||^2) S y, the tangent problem is exactly
-    min ||C q - d||^2 subject to ||P q||^2 <= r^2: the minimum-norm LS
-    solution if it fits the radius, otherwise the SVD-diagonalized
-    secular equation in the multiplier.
+    With the clutter factor B (B^H B = F0), C = B W and
+    d = -(kappa/||y||^2) B y, the tangent problem is exactly
+    min ||C x - d||^2 subject to ||x||^2 <= r^2, s = W x + Capon point:
+    the minimum-norm LS solution if it fits the radius, otherwise the
+    secular equation in the multiplier, diagonalized by the thin SVD
+    of C.
     """
-    problem = WaveformProblem._validated(f0, y_w, kappa, power_bound)
-    sqrt_f = hermitian_sqrt(problem.hessian)
-    u_mat, sig, vh = np.linalg.svd(sqrt_f @ problem.basis, full_matrices=False)
-    dhat = u_mat.conj().T @ (-(problem.kappa / problem.ny2) * (sqrt_f @ problem.steering))
+    problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
+    c_mat, d = problem.least_squares
+    u_mat, sig, vh = np.linalg.svd(c_mat, full_matrices=False)
+    dhat = u_mat.conj().T @ d
     # the rank cutoff is on sig^2, the eigenvalues of P F0 P, as in the tangent routes
     sig2_scale = float(sig[0]) ** 2 if sig.size else 0.0
     kept = sig**2 > TAU_RANK * max(sig2_scale, TAU_ZERO)

@@ -9,7 +9,7 @@ against them.
 import numpy as np
 from scipy.linalg import toeplitz
 
-from costap.matrix_ops import TAU_ZERO
+from costap.matrix_ops import TAU_RANK, TAU_ZERO, bisect_root
 from costap.radar_model import (
     _clutter_patches,
     _interferer_columns,
@@ -26,25 +26,69 @@ def random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_psd(rng, n, eig_lo=0.0, eig_hi=2.0):
-    """Hermitian PSD matrix with eigenvalues uniform in [eig_lo, eig_hi]."""
+def random_factor(rng, n, eig_lo=0.0, eig_hi=2.0):
+    """Factor B = diag(sqrt(eig)) Q^H of a Hermitian PSD F0 = B^H B = Q diag(eig) Q^H
+    with eigenvalues uniform in [eig_lo, eig_hi]."""
     q = random_unitary(rng, n)
     eigs = rng.uniform(eig_lo, eig_hi, n)
-    return (q * eigs) @ q.conj().T
+    return np.sqrt(eigs)[:, None] * q.conj().T
+
+
+def gram(b):
+    """The dense F0 = B^H B of a clutter factor."""
+    return b.conj().T @ b
 
 
 def random_instance(rng, n, kappa=1.0, eig_lo=0.0, eig_hi=2.0, slack=None):
-    """One waveform subproblem (F0, y, kappa, P_o).
+    """One waveform subproblem (B, y, kappa, P_o), B the factor of F0.
 
     `slack` scales the power budget above the Capon minimum
     kappa^2/||y||^2; default draws it uniformly in [1.2, 4].
     """
-    f0 = random_psd(rng, n, eig_lo, eig_hi)
+    b = random_factor(rng, n, eig_lo, eig_hi)
     y = random_complex(rng, n)
     floor = kappa**2 / float(np.real(y.conj() @ y))
     if slack is None:
         slack = rng.uniform(1.2, 4.0)
-    return f0, y, kappa, slack * floor
+    return b, y, kappa, slack * floor
+
+
+def dense_tangent_solve(f0, y, kappa, power_bound):
+    """Reference waveform step on a dense F0: (s, multiplier).
+
+    The tangent-space secular equation from the eigen-decomposition of
+    the (N-1) x (N-1) matrix W^H F0 W, W an orthonormal basis of the
+    complement of y, with the pseudoinverse point at multiplier 0 when
+    it fits the power bound.
+    """
+    y = np.asarray(y, dtype=np.complex128)
+    ny2 = float(np.real(y.conj() @ y))
+    center = (kappa / ny2) * y
+    r2 = max(power_bound - kappa**2 / ny2, 0.0)
+    basis = np.linalg.qr(y.reshape(-1, 1), mode="complete")[0][:, 1:]
+    m = basis.conj().T @ f0 @ basis
+    mu, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+    chat = vecs.conj().T @ ((kappa / ny2) * (basis.conj().T @ (f0 @ y)))
+    abs2 = np.abs(chat) ** 2
+    kept = mu > TAU_RANK * max(float(np.max(np.abs(mu))), TAU_ZERO)
+
+    def point(gamma):
+        if gamma == 0.0:
+            coeff = np.where(kept, -chat / np.where(kept, mu, 1.0), 0.0)
+        else:
+            coeff = -chat / (mu + gamma)
+        return basis @ (vecs @ coeff) + center
+
+    def secular(gamma):
+        if gamma == 0.0:
+            return float(np.sum(abs2[kept] / mu[kept] ** 2)) - r2
+        return float(np.sum(abs2 / (mu + gamma) ** 2)) - r2
+
+    if secular(0.0) <= 0.0:
+        return point(0.0), 0.0
+    gamma = bisect_root(secular, lambda g: float(-2.0 * np.sum(abs2 / (mu + g) ** 3)),
+                        0.0, float(np.sqrt(np.sum(abs2) / r2)) + max(-float(mu[0]), 0.0))
+    return point(gamma), gamma
 
 
 def align_phase(s, y_w):

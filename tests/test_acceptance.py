@@ -15,7 +15,7 @@ import pytest
 import costap as cs
 from costap.harness_cli import _trial_waveform
 
-from helpers import align_phase, dense_base_cov, random_complex, random_psd
+from helpers import align_phase, dense_base_cov, gram, random_complex, random_factor
 from test_waveform_solvers import feasible_starts, projected_gradient_min
 
 
@@ -101,14 +101,14 @@ def test_criterion_05_strong_duality():
     kappa = 1.0
     worst_gap = worst_rel = worst_rank1 = 0.0
     for _ in range(100):
-        f0 = random_psd(rng, 8, eig_lo=0.0, eig_hi=2.0)
+        b = random_factor(rng, 8, eig_lo=0.0, eig_hi=2.0)
         y = random_complex(rng, 8)
         floor = kappa**2 / float(np.real(y.conj() @ y))
         p_o = rng.uniform(floor, 4.0)
-        qc = cs.qcqp_solve(f0, y, kappa, p_o)
-        sd = cs.sdp_dual_solve(f0, y, kappa, p_o)
+        qc = cs.qcqp_solve(b, y, kappa, p_o)
+        sd = cs.sdp_dual_solve(b, y, kappa, p_o)
         ny2 = float(np.real(y.conj() @ y))
-        const = kappa**2 / ny2**2 * float(np.real(y.conj() @ (f0 @ y)))
+        const = kappa**2 / ny2**2 * float(np.real(y.conj() @ (gram(b) @ y)))
         nu_qcqp = qc.objective - const
         cert = sd.certificate
         rel = abs(nu_qcqp - cert.dual_value) / (1.0 + abs(nu_qcqp))
@@ -125,17 +125,18 @@ def test_criterion_05_strong_duality():
 
 def test_criterion_06_bruteforce_oracle():
     rng = np.random.default_rng(1906)
-    instances = []
+    factors, instances = [], []
     for _ in range(20):
-        f0 = random_psd(rng, 2, eig_lo=0.3, eig_hi=3.0)
+        b = random_factor(rng, 2, eig_lo=0.3, eig_hi=3.0)
         y = random_complex(rng, 2)
         floor = 1.0 / float(np.real(y.conj() @ y))
         p_o = rng.uniform(1.1, 2.5) * floor
-        instances.append((f0, y, 1.0, p_o, feasible_starts(y, 1.0, p_o, rng, starts=200)))
+        factors.append(b)
+        instances.append((gram(b), y, 1.0, p_o, feasible_starts(y, 1.0, p_o, rng, starts=200)))
     worst = 0.0
-    for (f0, y, _, p_o, _), brute in zip(instances,
-                                         projected_gradient_min(instances, steps=10_000)):
-        sol = cs.qcqp_solve(f0, y, 1.0, p_o)
+    for b, (_, y, _, p_o, _), brute in zip(factors, instances,
+                                           projected_gradient_min(instances, steps=10_000)):
+        sol = cs.qcqp_solve(b, y, 1.0, p_o)
         rel = abs(sol.objective - brute) / (1.0 + abs(brute))
         assert rel <= 1e-4
         worst = max(worst, rel)
@@ -193,16 +194,16 @@ def test_criterion_09_cls_identity():
     worst_expand = worst_wave = 0.0
     for _ in range(100):
         n = 6
-        f0 = random_psd(rng, n, eig_lo=0.0, eig_hi=2.0)
+        b = random_factor(rng, n, eig_lo=0.0, eig_hi=2.0)
+        f0 = gram(b)
         y = random_complex(rng, n)
         kappa = 1.0
         ny2 = float(np.real(y.conj() @ y))
         p_o = rng.uniform(1.1, 3.0) * kappa**2 / ny2
 
         pperp = np.eye(n) - np.outer(y, y.conj()) / ny2
-        sqrt_f = cs.hermitian_sqrt(f0)
-        c_mat = sqrt_f @ pperp
-        d = -(kappa / ny2) * (sqrt_f @ y)
+        c_mat = b @ pperp
+        d = -(kappa / ny2) * (b @ y)
         const = kappa**2 / ny2**2 * float(np.real(y.conj() @ (f0 @ y)))
         q = random_complex(rng, n)
         lhs = np.linalg.norm(c_mat @ q - d) ** 2
@@ -213,9 +214,9 @@ def test_criterion_09_cls_identity():
         assert rel <= 1e-10
         worst_expand = max(worst_expand, rel)
 
-        a = cs.cls_solve(f0, y, kappa, p_o)
-        b = cs.qcqp_solve(f0, y, kappa, p_o)
-        dist = np.linalg.norm(align_phase(a.s, y) - align_phase(b.s, y))
+        ls = cs.cls_solve(b, y, kappa, p_o)
+        qc = cs.qcqp_solve(b, y, kappa, p_o)
+        dist = np.linalg.norm(align_phase(ls.s, y) - align_phase(qc.s, y))
         assert dist <= 1e-5
         worst_wave = max(worst_wave, dist)
     _passline(9, f"100 instances: ||Cq-d||^2 expansion matches to {worst_expand:.2e} "

@@ -28,7 +28,7 @@ class TestFullObjective:
             w = random_complex(rng, small_cfg.mnl)
             s = random_complex(rng, small_cfg.N)
             total = cs.full_objective(small_bundle, w, s)
-            split = (np.real(s.conj() @ (small_bundle.hessian(w) @ s))
+            split = (np.linalg.norm(small_bundle.hessian(w) @ s) ** 2
                      + np.real(w.conj() @ (dense_base_cov(small_cfg) @ w)))
             assert abs(total - split) <= 1e-10 * max(1.0, abs(total))
 

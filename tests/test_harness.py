@@ -382,20 +382,34 @@ class TestCli:
         bad.write_text("{}")
         assert cs.main(["run", "--scenario", str(bad)]) == 2
 
-    @pytest.mark.parametrize("change, argv, field", [
-        ({"clutter": {"patches": 4, "azimuth_span": ["a", 1]}}, [], "clutter.azimuth_span[0]"),
-        ({"clutter": {"patches": 4, "azimuth_span": [None, 1]}}, [], "clutter.azimuth_span[0]"),
-        ({"clutter": {"patches": 4, "azimuth_span": [-1, True]}}, [], "clutter.azimuth_span[1]"),
-        ({"interferers": 3}, [], "interferers"),
-        ({"kappa": 10**400}, [], "kappa"),
-        ({"seed": -1}, [], "seed"),
-        ({}, ["--seed", "-1"], "seed"),
-        ({}, ["--iters", "-1"], "max_iter"),
-        ({"noise": {"decay": 1e-20}}, [], "noise.decay"),
+    @pytest.mark.parametrize("command, change, argv, field", [
+        ("run", {"clutter": {"patches": 4, "azimuth_span": ["a", 1]}}, [],
+         "clutter.azimuth_span[0]"),
+        ("run", {"clutter": {"patches": 4, "azimuth_span": [None, 1]}}, [],
+         "clutter.azimuth_span[0]"),
+        ("run", {"clutter": {"patches": 4, "azimuth_span": [-1, True]}}, [],
+         "clutter.azimuth_span[1]"),
+        ("run", {"interferers": 3}, [], "interferers"),
+        ("run", {"kappa": 10**400}, [], "kappa"),
+        ("run", {"seed": -1}, [], "seed"),
+        ("run", {}, ["--seed", "-1"], "seed"),
+        ("run", {}, ["--iters", "-1"], "max_iter"),
+        ("run", {"noise": {"decay": 1e-20}}, [], "noise.decay"),
+        ("run", {}, ["--out", "{tmp}/missing/trace.csv"], "--out"),
+        ("compare", {}, ["--out", "{tmp}/scenario.json"], "--out"),
     ], ids=["span-string", "span-null", "span-bool", "interferers-int", "huge-int", "seed-file",
-            "seed-flag", "iters", "decay-tiny"])
-    def test_malformed_input_exits_2(self, tmp_path, capsys, change, argv, field):
-        self._expect_exit_2(tmp_path, capsys, change, argv, field)
+            "seed-flag", "iters", "decay-tiny", "out-missing-dir", "out-is-a-file"])
+    def test_malformed_input_exits_2(self, tmp_path, capsys, monkeypatch, command, change,
+                                     argv, field):
+        if field == "--out":
+            # the output location is checked before any run
+            def no_run(*args, **kwargs):
+                raise AssertionError("ran before checking --out")
+
+            monkeypatch.setattr(cs.harness_cli, "run", no_run)
+            monkeypatch.setattr(cs.harness_cli, "run_comparison", no_run)
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        self._expect_exit_2(tmp_path, capsys, change, argv, field, command)
 
     @pytest.mark.parametrize("change, field", [
         ({"kappa": float("inf")}, "kappa"),
@@ -417,7 +431,7 @@ class TestCli:
         self._expect_exit_2(tmp_path, capsys, change, [], field)
 
     @staticmethod
-    def _expect_exit_2(tmp_path, capsys, change, argv, field):
+    def _expect_exit_2(tmp_path, capsys, change, argv, field, command="run"):
         scenario = {
             "dims": {"M": 2, "N": 3, "L": 2},
             "target": {"azimuth": 0.2, "elevation": 0.7, "doppler": -0.15},
@@ -427,7 +441,7 @@ class TestCli:
         }
         spath = tmp_path / "scenario.json"
         spath.write_text(json.dumps(scenario))  # writes NaN and Infinity as Python reads them
-        code = cs.main(["run", "--scenario", str(spath), "--iters", "1", *argv])
+        code = cs.main([command, "--scenario", str(spath), "--iters", "1", *argv])
         err = capsys.readouterr().err
         assert code == 2
         assert f"error: {field}:" in err

@@ -4,7 +4,7 @@ import pytest
 import costap as cs
 from costap.waveform_solvers import WaveformProblem, _orth_complement
 
-from helpers import random_complex, random_psd
+from helpers import gram, random_complex, random_factor
 
 
 class TestHermitianSqrt:
@@ -26,7 +26,7 @@ class TestHermitianSqrt:
 
     def test_roundtrip_up_to_condition_1e12(self):
         rng = np.random.default_rng(4)
-        f = random_psd(rng, 6, eig_lo=1e-12, eig_hi=1.0)
+        f = gram(random_factor(rng, 6, eig_lo=1e-12, eig_hi=1.0))
         s = cs.hermitian_sqrt(f)
         assert np.max(np.abs(s.conj().T @ s - f)) <= 1e-10
 
@@ -118,7 +118,8 @@ class TestBisectRoot:
         # function, vectorized over a dense multiplier grid
         rng = np.random.default_rng(9)
         n = 5
-        f0 = random_psd(rng, n, eig_lo=0.1, eig_hi=2.0)
+        b = random_factor(rng, n, eig_lo=0.1, eig_hi=2.0)
+        f0 = gram(b)
         y = random_complex(rng, n)
         kappa = 1.0
         ny2 = float(np.real(y.conj() @ y))
@@ -137,7 +138,7 @@ class TestBisectRoot:
         def dphi(g):
             return float(-2.0 * np.sum(chat2 / (evals + g) ** 3))
 
-        problem = WaveformProblem._validated(f0, y, kappa, p_o)
+        problem = WaveformProblem._validated(b, y, kappa, p_o)
         root = cs.bisect_root(problem.secular, dphi, 0.0, 1.0)
 
         grid = np.linspace(1e-9, 4.0, 1_000_000)

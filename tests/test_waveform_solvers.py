@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,10 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import costap as cs
+from costap.am_driver import _am_step
 from costap.matrix_ops import TAU_RANK
 from costap.waveform_solvers import WaveformProblem
 
-from helpers import align_phase, dense_base_cov, random_complex, random_instance, random_psd
+from helpers import (
+    align_phase,
+    dense_base_cov,
+    dense_tangent_solve,
+    gram,
+    random_complex,
+    random_factor,
+    random_instance,
+)
 
 
 def project_feasible(points, y, kappa, power_bound):
@@ -60,12 +70,12 @@ def projected_gradient_min(instances, steps=10_000):
     return objs.min(axis=1)
 
 
-def solve_all(f0, y, kappa, p_o):
+def solve_all(b, y, kappa, p_o):
     return {
-        "am-direct": cs.direct_update(f0, np.eye(y.size), y, kappa, p_o),
-        "qcqp": cs.qcqp_solve(f0, y, kappa, p_o),
-        "sdp": cs.sdp_dual_solve(f0, y, kappa, p_o),
-        "cls": cs.cls_solve(f0, y, kappa, p_o),
+        "am-direct": cs.direct_update(b, np.eye(y.size), y, kappa, p_o),
+        "qcqp": cs.qcqp_solve(b, y, kappa, p_o),
+        "sdp": cs.sdp_dual_solve(b, y, kappa, p_o),
+        "cls": cs.cls_solve(b, y, kappa, p_o),
     }
 
 
@@ -84,26 +94,26 @@ class TestDirectUpdate:
         # kappa^2/||y||^2 <= 2 by construction, so the bound stays slack
         rng = np.random.default_rng(1)
         for _ in range(10):
-            f0 = random_psd(rng, 6, eig_lo=1.0, eig_hi=2.0)
+            b = random_factor(rng, 6, eig_lo=1.0, eig_hi=2.0)
             y = random_complex(rng, 6)
             y *= np.sqrt(2.0) / np.linalg.norm(y)  # kappa^2/||y||^2 = 0.5 < 1
-            sol = cs.direct_update(f0, np.eye(6), y, 1.0, 2.0)
+            sol = cs.direct_update(b, np.eye(6), y, 1.0, 2.0)
             assert sol.multiplier == 0.0
             assert sol.power <= 2.0 + 1e-8
 
     def test_active_budget_grid_scan(self):
         # independent eigen-space evaluation of ||s(lam)||^2 on a dense grid
         rng = np.random.default_rng(2)
-        f0 = random_psd(rng, 5, eig_lo=0.05, eig_hi=2.0)
+        b = random_factor(rng, 5, eig_lo=0.05, eig_hi=2.0)
         y = random_complex(rng, 5)
         kappa = 1.0
         ny2 = float(np.real(y.conj() @ y))
         p_o = 1.05 * kappa**2 / ny2
-        sol = cs.direct_update(f0, np.eye(5), y, kappa, p_o)
+        sol = cs.direct_update(b, np.eye(5), y, kappa, p_o)
         assert sol.multiplier > 0.0
         assert abs(sol.power - p_o) <= 1e-8
 
-        evals, evecs = np.linalg.eigh(f0)
+        evals, evecs = np.linalg.eigh(gram(b))
         a = np.abs(evecs.conj().T @ y) ** 2
         grid = np.linspace(1e-9, 8.0 * sol.multiplier, 1_000_000)
         denom = a[None, :] / (evals[None, :] + grid[:, None])
@@ -117,31 +127,44 @@ class TestDirectUpdate:
 
     def test_zero_mode_matches_root_mode_bitwise(self):
         rng = np.random.default_rng(3)
-        f0 = random_psd(rng, 6, eig_lo=1.0, eig_hi=2.0)
+        b = random_factor(rng, 6, eig_lo=1.0, eig_hi=2.0)
         y = random_complex(rng, 6)
         y *= np.sqrt(2.0) / np.linalg.norm(y)
-        root = cs.direct_update(f0, np.eye(6), y, 1.0, 2.0)
-        zero = cs.direct_update(f0, np.eye(6), y, 1.0, 2.0, lambda_mode="zero")
+        root = cs.direct_update(b, np.eye(6), y, 1.0, 2.0)
+        zero = cs.direct_update(b, np.eye(6), y, 1.0, 2.0, lambda_mode="zero")
         assert np.array_equal(root.s, zero.s)
 
     def test_zero_mode_singular_hessian(self):
         rng = np.random.default_rng(4)
-        u = random_complex(rng, 2, 5)  # rank-2 Hessian in dimension 5
-        f0 = u.T @ u.conj()
+        b = random_complex(rng, 2, 5).conj()  # rank-2 Hessian in dimension 5
         y = random_complex(rng, 5)
         with pytest.raises(cs.SingularHessian):
-            cs.direct_update(f0, np.eye(5), y, 1.0, 1.0, lambda_mode="zero")
+            cs.direct_update(b, np.eye(5), y, 1.0, 1.0, lambda_mode="zero")
 
     def test_singular_hessian_root_mode_zero_objective(self):
         # y couples to the null space: the update reaches objective 0
         rng = np.random.default_rng(5)
-        u = random_complex(rng, 3, 5)
-        f0 = u.T @ u.conj()
+        b = random_complex(rng, 3, 5).conj()
         y = random_complex(rng, 5)
-        sol = cs.direct_update(f0, np.eye(5), y, 1.0, 10.0)
+        sol = cs.direct_update(b, np.eye(5), y, 1.0, 10.0)
         assert sol.multiplier == 0.0
         assert sol.objective <= 1e-12
         assert abs(sol.capon_residual) <= 1e-10
+
+    def test_steering_just_outside_the_factor_row_space(self):
+        # a short factor leaves F0 an explicit null space; y is 1e-6.5..1e-4
+        # of its norm outside the row space of B, so its null part comes
+        # from a cancellation that must stay orthogonal to the range
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            b = random_complex(rng, 3, 40) * 10.0 ** rng.uniform(-3.0, 3.0)
+            y = b.conj().T @ random_complex(rng, 3)
+            z = random_complex(rng, 40)
+            z -= b.conj().T @ np.linalg.lstsq(b.conj().T, z, rcond=None)[0]
+            y = 1e3 * (y / np.linalg.norm(y) + 10.0 ** rng.uniform(-6.5, -4.0) * z / np.linalg.norm(z))
+            sol = cs.direct_update(b, np.eye(40), y, 1.0, 1e6)
+            assert sol.capon_residual <= 1e-8
+            assert sol.power <= 1e6 * (1.0 + 1e-12)
 
 
 class TestQcqpSolve:
@@ -150,42 +173,51 @@ class TestQcqpSolve:
         y = random_complex(rng, 5)
         ny2 = float(np.real(y.conj() @ y))
         for c in (0.5, 3.0):
-            sol = cs.qcqp_solve(c * np.eye(5), y, 1.0, 2.0 / ny2)
+            sol = cs.qcqp_solve(np.sqrt(c) * np.eye(5), y, 1.0, 2.0 / ny2)
             np.testing.assert_allclose(sol.s, y / ny2, atol=1e-12)
             assert sol.multiplier == 0.0
 
     def test_boundary_feasibility(self):
         rng = np.random.default_rng(7)
-        f0 = random_psd(rng, 4)
+        b = random_factor(rng, 4)
         y = random_complex(rng, 4)
         ny2 = float(np.real(y.conj() @ y))
-        sol = cs.qcqp_solve(f0, y, 1.0, 1.0 / ny2)  # r = 0 exactly
+        sol = cs.qcqp_solve(b, y, 1.0, 1.0 / ny2)  # r = 0 exactly
         np.testing.assert_allclose(sol.s, y / ny2, atol=1e-13)
         assert abs(sol.power - 1.0 / ny2) <= 1e-12
 
     def test_infeasible(self):
         rng = np.random.default_rng(8)
-        f0 = random_psd(rng, 4)
+        b = random_factor(rng, 4)
         y = random_complex(rng, 4)
         ny2 = float(np.real(y.conj() @ y))
         with pytest.raises(cs.Infeasible):
-            cs.qcqp_solve(f0, y, 1.0, 0.5 / ny2)
+            cs.qcqp_solve(b, y, 1.0, 0.5 / ny2)
 
     def test_zero_steering(self):
         with pytest.raises(cs.ZeroSteering):
             cs.qcqp_solve(np.eye(3), np.zeros(3, dtype=complex), 1.0, 1.0)
 
+    def test_factor_must_be_a_matrix_with_n_columns(self):
+        y = np.ones(3, dtype=complex)
+        for factor in (np.ones(3), np.ones((3, 2)), np.ones((2, 3, 1))):
+            with pytest.raises(ValueError):
+                cs.qcqp_solve(factor, y, 1.0, 1.0)
+        with pytest.raises(cs.NumericalFailure):
+            cs.qcqp_solve(np.array([[1.0, np.inf, 0.0]]), y, 1.0, 1.0)
+
     def test_matches_projected_gradient_bruteforce(self):
         rng = np.random.default_rng(9)
-        instances = []
+        factors, instances = [], []
         for _ in range(5):
-            f0, y, kappa, p_o = random_instance(rng, 2, eig_lo=0.3, eig_hi=3.0,
-                                                slack=rng.uniform(1.1, 2.0))
-            instances.append((f0, y, kappa, p_o,
+            b, y, kappa, p_o = random_instance(rng, 2, eig_lo=0.3, eig_hi=3.0,
+                                               slack=rng.uniform(1.1, 2.0))
+            factors.append(b)
+            instances.append((gram(b), y, kappa, p_o,
                               feasible_starts(y, kappa, p_o, rng, starts=100)))
-        for (f0, y, kappa, p_o, _), brute in zip(instances,
-                                                 projected_gradient_min(instances, steps=4000)):
-            sol = cs.qcqp_solve(f0, y, kappa, p_o)
+        for b, (_, y, kappa, p_o, _), brute in zip(
+                factors, instances, projected_gradient_min(instances, steps=4000)):
+            sol = cs.qcqp_solve(b, y, kappa, p_o)
             assert abs(sol.objective - brute) <= 1e-4 * (1.0 + abs(brute))
             assert sol.objective <= brute + 1e-6  # solver is never worse
 
@@ -193,10 +225,10 @@ class TestQcqpSolve:
 class TestSecularResidual:
     def test_large_gamma_limit(self):
         rng = np.random.default_rng(10)
-        f0, y, kappa, p_o = random_instance(rng, 5)
+        b, y, kappa, p_o = random_instance(rng, 5)
         ny2 = float(np.real(y.conj() @ y))
         r2 = p_o - kappa**2 / ny2
-        val = WaveformProblem._validated(f0, y, kappa, p_o).secular(1e12)
+        val = WaveformProblem._validated(b, y, kappa, p_o).secular(1e12)
         assert abs(val + r2) <= 1e-6
 
     def test_gamma_zero_identity_hessian(self):
@@ -205,14 +237,14 @@ class TestSecularResidual:
         ny2 = float(np.real(y.conj() @ y))
         p_o = 2.0 / ny2
         r2 = p_o - 1.0 / ny2
-        val = WaveformProblem._validated(2.0 * np.eye(5), y, 1.0, p_o).secular(0.0)
+        val = WaveformProblem._validated(np.sqrt(2.0) * np.eye(5), y, 1.0, p_o).secular(0.0)
         assert abs(val + r2) <= 1e-14
 
     def test_monotone_nonincreasing(self):
         rng = np.random.default_rng(12)
-        f0, y, kappa, p_o = random_instance(rng, 6)
+        b, y, kappa, p_o = random_instance(rng, 6)
         gammas = np.sort(rng.uniform(0, 10, 100))
-        problem = WaveformProblem._validated(f0, y, kappa, p_o)
+        problem = WaveformProblem._validated(b, y, kappa, p_o)
         vals = [problem.secular(g) for g in gammas]
         for a, b in zip(vals[:-1], vals[1:]):
             assert b <= a + 1e-12
@@ -220,11 +252,12 @@ class TestSecularResidual:
     def test_matches_pseudoinverse_formula(self):
         # literal A(gamma) = (P F P + gamma P)^+ P F evaluation
         rng = np.random.default_rng(13)
-        f0, y, kappa, p_o = random_instance(rng, 5)
+        b, y, kappa, p_o = random_instance(rng, 5)
+        f0 = gram(b)
         n = y.size
         ny2 = float(np.real(y.conj() @ y))
         pperp = np.eye(n) - np.outer(y, y.conj()) / ny2
-        problem = WaveformProblem._validated(f0, y, kappa, p_o)
+        problem = WaveformProblem._validated(b, y, kappa, p_o)
         for gamma in (0.0, 0.3, 2.7):
             a_mat = np.linalg.pinv(pperp @ f0 @ pperp + gamma * pperp, rcond=TAU_RANK) @ (pperp @ f0)
             q = -(kappa / ny2) * (a_mat @ y)
@@ -248,9 +281,9 @@ class TestSdpDualSolve:
     def test_strong_duality_against_qcqp(self):
         rng = np.random.default_rng(15)
         for _ in range(30):
-            f0, y, kappa, p_o = random_instance(rng, 8)
-            qc = cs.qcqp_solve(f0, y, kappa, p_o)
-            sd = cs.sdp_dual_solve(f0, y, kappa, p_o)
+            b, y, kappa, p_o = random_instance(rng, 8)
+            qc = cs.qcqp_solve(b, y, kappa, p_o)
+            sd = cs.sdp_dual_solve(b, y, kappa, p_o)
             qcqp_reduced = sd.certificate.primal_value  # trace form at sdp point
             assert abs(sd.certificate.dual_value - qcqp_reduced) \
                 <= 1e-6 * (1.0 + abs(qcqp_reduced))
@@ -259,8 +292,8 @@ class TestSdpDualSolve:
     def test_certificate_complementarity(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
-            f0, y, kappa, p_o = random_instance(rng, 6, slack=1.01)
-            sol = cs.sdp_dual_solve(f0, y, kappa, p_o)
+            b, y, kappa, p_o = random_instance(rng, 6, slack=1.01)
+            sol = cs.sdp_dual_solve(b, y, kappa, p_o)
             ny2 = float(np.real(y.conj() @ y))
             r2 = p_o - kappa**2 / ny2
             tangent2 = sol.certificate.constraint_value
@@ -268,8 +301,8 @@ class TestSdpDualSolve:
 
     def test_dual_concavity_sampled(self):
         rng = np.random.default_rng(17)
-        f0, y, kappa, p_o = random_instance(rng, 6)
-        problem = WaveformProblem._validated(f0, y, kappa, p_o)
+        b, y, kappa, p_o = random_instance(rng, 6)
+        problem = WaveformProblem._validated(b, y, kappa, p_o)
         grid = np.linspace(1e-6, 5.0, 50)
         g = np.array([problem.dual_value(a) for a in grid])
         slopes = np.diff(g) / np.diff(grid)
@@ -277,8 +310,8 @@ class TestSdpDualSolve:
 
     def test_weak_duality_everywhere(self):
         rng = np.random.default_rng(18)
-        f0, y, kappa, p_o = random_instance(rng, 6)
-        qc = cs.qcqp_solve(f0, y, kappa, p_o)
+        b, y, kappa, p_o = random_instance(rng, 6)
+        qc = cs.qcqp_solve(b, y, kappa, p_o)
         reduced_opt = cs.sdp_certificate(qc).primal_value
         for alpha in np.linspace(0.0, 10.0, 50):
             assert qc.problem.dual_value(float(alpha)) <= reduced_opt + 1e-8
@@ -288,10 +321,10 @@ class TestSdpCertificate:
     def test_boundary_point_certificate(self):
         # r = 0: q = 0, lifted matrix is diag(0,...,0,1)
         rng = np.random.default_rng(19)
-        f0 = random_psd(rng, 4)
+        b = random_factor(rng, 4)
         y = random_complex(rng, 4)
         ny2 = float(np.real(y.conj() @ y))
-        sol = cs.sdp_dual_solve(f0, y, 1.0, 1.0 / ny2)
+        sol = cs.sdp_dual_solve(b, y, 1.0, 1.0 / ny2)
         cert = sol.certificate
         # the lifting [[q q^H, q], [q^H, 1]] is rank 1 by construction
         assert cert.rank1_residual == 0.0
@@ -299,8 +332,8 @@ class TestSdpCertificate:
 
     def test_rank_one_by_construction(self):
         rng = np.random.default_rng(20)
-        f0, y, kappa, p_o = random_instance(rng, 6)
-        sol = cs.sdp_dual_solve(f0, y, kappa, p_o)
+        b, y, kappa, p_o = random_instance(rng, 6)
+        sol = cs.sdp_dual_solve(b, y, kappa, p_o)
         # the certificate lifts q = P(s - Capon point) as [[q q^H, q], [q^H, 1]],
         # rank 1 by construction, so its residual is 0 by definition
         assert sol.certificate.rank1_residual == 0.0
@@ -308,11 +341,11 @@ class TestSdpCertificate:
     def test_trace_form_matches_reduced_objective(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
-            f0, y, kappa, p_o = random_instance(rng, 5)
-            sol = cs.qcqp_solve(f0, y, kappa, p_o)
+            b, y, kappa, p_o = random_instance(rng, 5)
+            sol = cs.qcqp_solve(b, y, kappa, p_o)
             cert = cs.sdp_certificate(sol)
             ny2 = float(np.real(y.conj() @ y))
-            const = kappa**2 / ny2**2 * float(np.real(y.conj() @ (f0 @ y)))
+            const = kappa**2 / ny2**2 * float(np.real(y.conj() @ (gram(b) @ y)))
             reduced = sol.objective - const
             assert abs(cert.primal_value - reduced) <= 1e-10 * max(1.0, abs(reduced))
 
@@ -329,45 +362,35 @@ class TestClsSolve:
         rng = np.random.default_rng(22)
         y = random_complex(rng, 5)
         ny2 = float(np.real(y.conj() @ y))
-        sol = cs.cls_solve(2.0 * np.eye(5), y, 1.0, 2.0 / ny2)
+        sol = cs.cls_solve(np.sqrt(2.0) * np.eye(5), y, 1.0, 2.0 / ny2)
         np.testing.assert_allclose(sol.s, y / ny2, atol=1e-12)
         assert sol.multiplier == 0.0
 
     def test_expansion_identity(self):
-        # ||C q - d||^2 must expand to the tangent-space quadratic plus
-        # the dropped constant, validating the operator ordering of C
+        # ||C x - d||^2 must equal the objective s^H F0 s at s = W x + the
+        # Capon point, validating the operator ordering of C and d
         rng = np.random.default_rng(23)
         for _ in range(10):
-            f0, y, kappa, p_o = random_instance(rng, 6)
-            n = y.size
-            ny2 = float(np.real(y.conj() @ y))
-            pperp = np.eye(n) - np.outer(y, y.conj()) / ny2
-            sqrt_f = cs.hermitian_sqrt(f0)
-            c_mat = sqrt_f @ pperp
-            d = -(kappa / ny2) * (sqrt_f @ y)
-            const = kappa**2 / ny2**2 * float(np.real(y.conj() @ (f0 @ y)))
+            b, y, kappa, p_o = random_instance(rng, 6)
+            problem = WaveformProblem._validated(b, y, kappa, p_o)
+            c_mat, d = problem.least_squares
             for _ in range(10):
-                q = random_complex(rng, n)
-                lhs = np.linalg.norm(c_mat @ q - d) ** 2
-                rhs = (float(np.real(q.conj() @ (pperp @ f0 @ pperp @ q)))
-                       + 2.0 * kappa / ny2 * float(np.real(q.conj() @ (pperp @ f0 @ y))))
-                assert abs(lhs - (rhs + const)) <= 1e-10 * max(1.0, abs(lhs))
+                x = random_complex(rng, y.size - 1)
+                s = problem.basis @ x + problem.center
+                lhs = np.linalg.norm(c_mat @ x - d) ** 2
+                rhs = float(np.real(s.conj() @ (gram(b) @ s)))
+                assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_matches_qcqp_waveform(self):
         rng = np.random.default_rng(24)
         for _ in range(20):
-            f0, y, kappa, p_o = random_instance(rng, 7)
-            a = cs.cls_solve(f0, y, kappa, p_o)
-            b = cs.qcqp_solve(f0, y, kappa, p_o)
+            factor, y, kappa, p_o = random_instance(rng, 7)
+            a = cs.cls_solve(factor, y, kappa, p_o)
+            b = cs.qcqp_solve(factor, y, kappa, p_o)
             sa = align_phase(a.s, y)
             sb = align_phase(b.s, y)
             assert np.linalg.norm(sa - sb) <= 1e-6 * max(1.0, np.linalg.norm(sb))
             assert abs(a.objective - b.objective) <= 1e-8 * (1.0 + abs(b.objective))
-
-    def test_not_psd(self):
-        y = np.ones(3, dtype=complex)
-        with pytest.raises(cs.NotPSD):
-            cs.cls_solve(np.diag([1.0, 1.0, -0.5]), y, 1.0, 5.0)
 
 
 class TestScaleSolution:
@@ -422,8 +445,8 @@ class TestFourWayEquivalence:
     def test_objectives_and_waveforms_agree(self):
         rng = np.random.default_rng(29)
         for _ in range(30):
-            f0, y, kappa, p_o = random_instance(rng, 8)
-            sols = solve_all(f0, y, kappa, p_o)
+            b, y, kappa, p_o = random_instance(rng, 8)
+            sols = solve_all(b, y, kappa, p_o)
             objs = [s.objective for s in sols.values()]
             for a, b in itertools.combinations(objs, 2):
                 assert abs(a - b) <= 1e-6 * (1.0 + max(abs(a), abs(b)))
@@ -434,8 +457,8 @@ class TestFourWayEquivalence:
     def test_shared_kkt_contract(self):
         rng = np.random.default_rng(30)
         for _ in range(20):
-            f0, y, kappa, p_o = random_instance(rng, 6)
-            for name, sol in solve_all(f0, y, kappa, p_o).items():
+            b, y, kappa, p_o = random_instance(rng, 6)
+            for name, sol in solve_all(b, y, kappa, p_o).items():
                 assert sol.multiplier >= 0.0
                 assert sol.capon_residual <= 1e-8, name
                 assert sol.power <= p_o + 1e-8, name
@@ -446,21 +469,21 @@ class TestFourWayEquivalence:
         # lam, gamma, alpha and the ellipsoid multiplier solve the same
         # complementarity condition, so they agree numerically
         rng = np.random.default_rng(31)
-        f0, y, kappa, p_o = random_instance(rng, 6, slack=1.02)
-        mults = [s.multiplier for s in solve_all(f0, y, kappa, p_o).values()]
+        b, y, kappa, p_o = random_instance(rng, 6, slack=1.02)
+        mults = [s.multiplier for s in solve_all(b, y, kappa, p_o).values()]
         assert max(mults) - min(mults) <= 1e-6 * (1.0 + max(mults))
 
 
 class TestZeroModes:
     def test_zero_modes_share_the_hyperplane_minimum(self):
         rng = np.random.default_rng(32)
-        f0 = random_psd(rng, 6, eig_lo=0.5, eig_hi=2.0)
+        b = random_factor(rng, 6, eig_lo=0.5, eig_hi=2.0)
         y = random_complex(rng, 6)
         kappa, p_o = 1.0, 0.01  # budget far below the Capon point: ignored
-        qc = cs.qcqp_solve(f0, y, kappa, p_o, gamma_mode="zero")
-        sd = cs.sdp_dual_solve(f0, y, kappa, p_o, mode="zero")
-        cl = cs.cls_solve(f0, y, kappa, p_o, mode="zero")
-        di = cs.direct_update(f0, np.eye(6), y, kappa, p_o, lambda_mode="zero")
+        qc = cs.qcqp_solve(b, y, kappa, p_o, gamma_mode="zero")
+        sd = cs.sdp_dual_solve(b, y, kappa, p_o, mode="zero")
+        cl = cs.cls_solve(b, y, kappa, p_o, mode="zero")
+        di = cs.direct_update(b, np.eye(6), y, kappa, p_o, lambda_mode="zero")
         ref = align_phase(di.s, y)
         for sol in (qc, sd, cl):
             assert sol.multiplier == 0.0
@@ -468,12 +491,52 @@ class TestZeroModes:
         assert qc.capon_residual <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def long_code(default_cfg):
+    """The long-code geometry, (M, N, L) = (1, 128, 2) with Q = 25 patches
+    and P_o = 1e-3, and six AM iterates (w, s) of a qcqp run on it."""
+    cfg = dataclasses.replace(default_cfg, M=1, N=128, L=2, power=1e-3)
+    records = cs.run(cfg, "qcqp", max_iter=6).trace.records[1:]
+    return cfg, cs.build_bundle(cfg), [(r.w, r.s) for r in records]
+
+
+class TestLongCodeGeometry:
+    """A clutter factor with Q = 25 rows against N = 128: each route
+    decomposes only the small Gram of the matrix it needs."""
+
+    def test_routes_match_the_dense_tangent_solve(self, long_code):
+        cfg, bundle, iterates = long_code
+        for w, _ in iterates:
+            b = bundle.hessian(w)
+            y = bundle.target_map.conj().T @ w
+            s_ref, mult_ref = dense_tangent_solve(gram(b), y, cfg.kappa, cfg.power)
+            for name, sol in solve_all(b, y, cfg.kappa, cfg.power).items():
+                assert np.linalg.norm(sol.s - s_ref) <= 1e-10 * np.linalg.norm(s_ref), name
+                assert abs(sol.multiplier - mult_ref) <= 1e-10 * mult_ref, name
+
+    @pytest.mark.parametrize("solver, kind", [
+        ("am-direct", "eigh"), ("qcqp", "eigh"), ("sdp", "eigh"), ("cls", "svd")])
+    def test_no_decomposition_larger_than_q(self, long_code, monkeypatch, solver, kind):
+        cfg, bundle, iterates = long_code
+        shapes = []
+        for name in ("eigh", "svd"):
+            def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+                shapes.append((_name, np.shape(a)))
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        _am_step(bundle, cfg, iterates[-1][1], solver, "root")
+        q = cfg.clutter.patches
+        assert {name for name, _ in shapes} == {kind}, shapes
+        for name, shape in shapes:
+            assert (max(shape) if name == "eigh" else min(shape)) <= q, shapes
+
+
 ROUTES_BY_MODE = {
-    "am-direct": lambda f0, y, kappa, p_o, mode:
-        cs.direct_update(f0, np.eye(y.size), y, kappa, p_o, lambda_mode=mode),
-    "qcqp": lambda f0, y, kappa, p_o, mode: cs.qcqp_solve(f0, y, kappa, p_o, gamma_mode=mode),
-    "sdp": lambda f0, y, kappa, p_o, mode: cs.sdp_dual_solve(f0, y, kappa, p_o, mode=mode),
-    "cls": lambda f0, y, kappa, p_o, mode: cs.cls_solve(f0, y, kappa, p_o, mode=mode),
+    "am-direct": lambda b, y, kappa, p_o, mode:
+        cs.direct_update(b, np.eye(y.size), y, kappa, p_o, lambda_mode=mode),
+    "qcqp": lambda b, y, kappa, p_o, mode: cs.qcqp_solve(b, y, kappa, p_o, gamma_mode=mode),
+    "sdp": lambda b, y, kappa, p_o, mode: cs.sdp_dual_solve(b, y, kappa, p_o, mode=mode),
+    "cls": lambda b, y, kappa, p_o, mode: cs.cls_solve(b, y, kappa, p_o, mode=mode),
 }
 
 
@@ -484,26 +547,26 @@ class TestSharedRegime:
     @staticmethod
     def instance(seed):
         rng = np.random.default_rng(seed)
-        f0 = random_psd(rng, 6, eig_lo=0.5, eig_hi=2.0)
+        b = random_factor(rng, 6, eig_lo=0.5, eig_hi=2.0)
         y = random_complex(rng, 6)
-        return f0, y, 0.7, 0.7**2 / float(np.real(y.conj() @ y))
+        return b, y, 0.7, 0.7**2 / float(np.real(y.conj() @ y))
 
     def test_unknown_mode(self, route):
-        f0, y, kappa, capon_power = self.instance(34)
+        b, y, kappa, capon_power = self.instance(34)
         with pytest.raises(ValueError):
-            ROUTES_BY_MODE[route](f0, y, kappa, 2.0 * capon_power, "newton")
+            ROUTES_BY_MODE[route](b, y, kappa, 2.0 * capon_power, "newton")
 
     def test_budget_at_capon_power_returns_capon_point(self, route):
-        f0, y, kappa, capon_power = self.instance(35)
-        sol = ROUTES_BY_MODE[route](f0, y, kappa, capon_power, "root")
+        b, y, kappa, capon_power = self.instance(35)
+        sol = ROUTES_BY_MODE[route](b, y, kappa, capon_power, "root")
         assert sol.multiplier == 0.0
         assert np.array_equal(sol.s, (kappa / float(np.real(y.conj() @ y))) * y)
 
     def test_zero_mode_ignores_an_infeasible_budget(self, route):
-        f0, y, kappa, capon_power = self.instance(36)
+        b, y, kappa, capon_power = self.instance(36)
         with pytest.raises(cs.Infeasible):
-            ROUTES_BY_MODE[route](f0, y, kappa, 0.5 * capon_power, "root")
-        sol = ROUTES_BY_MODE[route](f0, y, kappa, 0.5 * capon_power, "zero")
+            ROUTES_BY_MODE[route](b, y, kappa, 0.5 * capon_power, "root")
+        sol = ROUTES_BY_MODE[route](b, y, kappa, 0.5 * capon_power, "zero")
         assert sol.multiplier == 0.0
         assert sol.capon_residual <= 1e-12
         assert sol.power > 0.5 * capon_power
@@ -511,26 +574,27 @@ class TestSharedRegime:
 
 @st.composite
 def scaled_instances(draw):
-    """A waveform subproblem at an extreme scale: PSD F0 of any rank with
-    spectral norm 1e-8..1e8, kappa 1e-4..1e4 and a budget 1e-6..1 above
-    the Capon power kappa^2/||y||^2."""
+    """A waveform subproblem at an extreme scale: a clutter factor of any
+    rank with 1 to N+3 rows (both sides of the Gram size rule),
+    ||F0|| = ||B||^2 from 1e-8 to 1e8, kappa 1e-4..1e4 and a budget 1e-6..1
+    above the Capon power kappa^2/||y||^2."""
     n = draw(st.integers(3, 11))
-    rank = draw(st.integers(1, n))
+    rows = draw(st.integers(1, n + 3))
+    rank = draw(st.integers(1, min(rows, n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    u = random_complex(rng, n, rank)
-    f0 = u @ u.conj().T
-    f0 *= 10.0 ** draw(st.floats(-8.0, 8.0)) / np.linalg.norm(f0, 2)
+    b = random_complex(rng, rows, rank) @ random_complex(rng, rank, n)
+    b *= np.sqrt(10.0 ** draw(st.floats(-8.0, 8.0))) / np.linalg.norm(b, 2)
     y = random_complex(rng, n)
     kappa = 10.0 ** draw(st.floats(-4.0, 4.0))
     slack = 10.0 ** draw(st.floats(-6.0, 0.0))
-    return f0, y, kappa, kappa**2 / float(np.real(y.conj() @ y)) * (1.0 + slack)
+    return b, y, kappa, kappa**2 / float(np.real(y.conj() @ y)) * (1.0 + slack)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(scaled_instances())
 def test_four_routes_agree_at_every_scale(instance):
-    f0, y, kappa, p_o = instance
-    sols = list(solve_all(f0, y, kappa, p_o).values())
+    b, y, kappa, p_o = instance
+    sols = list(solve_all(b, y, kappa, p_o).values())
     mults = np.array([s.multiplier for s in sols])
     objs = np.array([s.objective for s in sols])
     assert np.all(mults == 0.0) or np.all(mults > 0.0), mults
@@ -539,4 +603,4 @@ def test_four_routes_agree_at_every_scale(instance):
         assert max(s.power for s in sols) <= p_o * (1.0 + 1e-12)
         assert objs.max() - objs.min() <= 1e-6 * np.abs(objs).max(), objs
     else:
-        assert objs.max() - objs.min() <= 1e-6 * np.linalg.norm(f0, 2) * p_o, objs
+        assert objs.max() - objs.min() <= 1e-6 * np.linalg.norm(b, 2) ** 2 * p_o, objs

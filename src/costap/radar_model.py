@@ -8,10 +8,18 @@ G = kron(v, kron(I_N, a)).
 
 The covariance R_u(s) = R_n + R_i + R_c(s) is never formed as an
 MNL x MNL matrix. R_n = rho^|i-j| is a Kac-Murdock-Szego matrix with a
-tridiagonal inverse; R_i + R_c(s) = F F^H with F the MNL x (I+Q) factor
-of interferer columns and clutter responses A_q s, each an outer
-product v_q kron s kron a_q. `SpaceTimeCov` applies, evaluates and
-solves with R_u in O(MNL * (I+Q)^2).
+tridiagonal inverse; R_i + R_c(s) = F F^H with F the MNL x (I+r) factor
+of interferer columns and clutter columns t_j kron s.
+
+Clutter patch q responds to s with A_q s = v_q kron s kron a_q = k_q
+kron s, k_q = v_q kron a_q on the (pulse, sensor) axes. So the Q patches
+enter R_c(s) and the waveform Hessian F0(w) only through K^H K, K the
+Q x LM stack of the k_q. `build_bundle` takes one thin SVD K = U S V^H
+and keeps T = S_r V_r^H, the r rows above the numerical-rank cutoff:
+T^H T = K^H K, and r <= min(Q, LM) is the clutter rank, M + beta (L-1)
+for an integer ridge slope beta (Brennan's rule). `SpaceTimeCov`
+applies, evaluates and solves with R_u in O(MNL * (I+r)^2 + r^3), so no
+per-iteration cost depends on Q.
 """
 
 from __future__ import annotations
@@ -128,13 +136,15 @@ class ScenarioConfig:
 
 
 def spatial_steering(azimuth: float, elevation: float, num_sensors: int) -> np.ndarray:
-    """Half-wavelength ULA steering vector, entry m = exp(-i pi m sin(az) cos(el))."""
+    """Half-wavelength ULA steering vector, entry m = exp(-i pi m sin(az) cos(el)).
+    An azimuth array of shape (Q, 1) gives the Q x M stack of vectors."""
     m = np.arange(num_sensors)
     return np.exp(-1j * np.pi * m * np.sin(azimuth) * np.cos(elevation))
 
 
 def doppler_steering(doppler: float, num_pulses: int) -> np.ndarray:
-    """Slow-time steering vector, entry l = exp(i 2 pi f_d l)."""
+    """Slow-time steering vector, entry l = exp(i 2 pi f_d l). A Doppler
+    array of shape (Q, 1) gives the Q x L stack of vectors."""
     ell = np.arange(num_pulses)
     return np.exp(2j * np.pi * doppler * ell)
 
@@ -221,9 +231,9 @@ class SpaceTimeCov:
 
     R_n is the Kac-Murdock-Szego matrix rho^|i-j|, rho = exp(-decay)
     (rho = 0 gives the identity); `rho=None` drops the noise term. F is
-    MNL x r: the interferer columns sqrt(p_i) u_i, then the clutter
-    columns A_q s. Products and quadratic forms cost O(MNL * r), a solve
-    O(MNL * r^2 + r^3).
+    MNL x c: the interferer columns sqrt(p_i) u_i, then the clutter
+    columns t_j kron s. Products and quadratic forms cost O(MNL * c), a
+    solve O(MNL * c^2 + c^3).
     """
 
     rho: float | None
@@ -276,66 +286,79 @@ class CovarianceBundle:
     """Immutable scenario operators, shareable across concurrent runs.
 
     `rho` is the KMS noise correlation exp(-decay); `interference` the
-    MNL x I interferer columns; `clutter_doppler` (Q x L, scaled by
-    sqrt(patch_power)) and `clutter_spatial` (Q x M) the steering of the
-    patches, so that A_q = clutter_doppler[q] kron I_N kron
-    clutter_spatial[q]; `target_map` the dense MNL x N map G.
+    MNL x I interferer columns; `clutter_subspace` the r x L x M array
+    T = S_r V_r^H from the thin SVD of the patch stack K (row q =
+    sqrt(patch_power) v_q kron a_q), so that T^H T = K^H K carries every
+    patch; `target_map` the dense MNL x N map G.
     """
 
     rho: float
     interference: np.ndarray
-    clutter_doppler: np.ndarray
-    clutter_spatial: np.ndarray
+    clutter_subspace: np.ndarray
     target_map: np.ndarray
 
     def _factor(self, s, interference: bool) -> np.ndarray:
-        """MNL x (I+Q) factor [interferer columns | A_q s], or MNL x Q
-        without the interferers. A_q s = v_q kron s kron a_q is an outer
-        product; the columns are stored as contiguous rows of F^T."""
+        """MNL x (I+r) factor [interferer columns | t_j kron s], or MNL x r
+        without the interferers. Each clutter column is an outer product
+        over the (pulse, fast-time, sensor) axes; the columns are stored as
+        contiguous rows of F^T."""
         s = np.asarray(s, dtype=np.complex128).reshape(-1)
-        v, a = self.clutter_doppler, self.clutter_spatial
+        t = self.clutter_subspace
         lead = self.interference.T if interference else self.interference.T[:0]
-        k, q = lead.shape[0], v.shape[0]
-        rows = np.empty((k + q, lead.shape[1]), dtype=np.complex128)
+        k, r = lead.shape[0], t.shape[0]
+        rows = np.empty((k + r, lead.shape[1]), dtype=np.complex128)
         rows[:k] = lead
-        np.multiply(v[:, :, None, None] * a[:, None, None, :], s[None, None, :, None],
-                    out=rows[k:].reshape(q, v.shape[1], s.size, a.shape[1]))
+        np.multiply(t[:, :, None, :], s[None, None, :, None],
+                    out=rows[k:].reshape(r, t.shape[1], s.size, t.shape[2]))
         return rows.T
 
     def clutter(self, s) -> SpaceTimeCov:
-        """R_c(s) = sum_q (A_q s)(A_q s)^H, rank <= Q, without noise."""
+        """R_c(s) = sum_q (A_q s)(A_q s)^H as the MNL x r factor of the
+        columns t_j kron s, rank <= r; without noise."""
         return SpaceTimeCov(None, self._factor(s, interference=False))
 
     def hessian(self, w) -> np.ndarray:
-        """The Q x N clutter factor B(w), row q = (A_q^H w)^H.
+        """The r x N clutter factor B(w) = T conj(X), X the weights w
+        reshaped from (L, N, M) to (L*M, N).
 
         It factors the clutter Hessian F0(w) = sum_q (A_q^H w)(A_q^H w)^H
         = B^H B, which is never formed: s^H F0(w) s = ||B s||^2 =
-        w^H R_c(s) w for every waveform s, and F0 has rank at most Q.
-        A_q^H w contracts w, reshaped to (L, N, M), with conj(a_q) and then
-        conj(v_q).
+        w^H R_c(s) w for every waveform s, and F0 has rank at most
+        min(r, N).
         """
-        v, a = self.clutter_doppler, self.clutter_spatial
-        x = np.asarray(w, dtype=np.complex128).reshape(v.shape[1], -1, a.shape[1])
-        u = np.einsum("ql,lnq->qn", v.conj(), x @ a.conj().T)  # row q: A_q^H w
-        return u.conj()
+        t = self.clutter_subspace
+        r, num_pulses, num_sensors = t.shape
+        x = np.asarray(w, dtype=np.complex128).reshape(num_pulses, -1, num_sensors)
+        lm = num_pulses * num_sensors
+        return t.reshape(r, lm) @ x.transpose(0, 2, 1).reshape(lm, -1).conj()
 
 
 def total_cov(bundle: CovarianceBundle, s) -> SpaceTimeCov:
     """R_u(s) = R_n + R_i + R_c(s) as a KMS noise term plus the MNL x
-    (I+Q) factor [interferer columns | A_q s]."""
+    (I+r) factor [interferer columns | t_j kron s], r the clutter rank."""
     return SpaceTimeCov(bundle.rho, bundle._factor(s, interference=True))
+
+
+def _clutter_subspace(cfg: ScenarioConfig) -> np.ndarray:
+    """T = S_r V_r^H (r x L x M) from the thin SVD K = U S V^H of the
+    Q x LM patch stack, keeping the singular values above the standard
+    numerical-rank cutoff max(Q, LM) * eps * S_1; r = 0 without clutter
+    power."""
+    cl = cfg.clutter
+    azimuths, dopplers = _clutter_patches(cfg)
+    v = np.sqrt(cl.patch_power) * doppler_steering(dopplers[:, None], cfg.L)
+    a = spatial_steering(azimuths[:, None], cl.elevation, cfg.M)
+    k = (v[:, :, None] * a[:, None, :]).reshape(cl.patches, -1)
+    _, sv, vh = np.linalg.svd(k, full_matrices=False)
+    r = int(np.count_nonzero(sv > max(k.shape) * np.finfo(float).eps * sv[0]))
+    return (sv[:r, None] * vh[:r]).reshape(r, cfg.L, cfg.M)
 
 
 def build_bundle(cfg: ScenarioConfig) -> CovarianceBundle:
     """Build every scenario operator once; deterministic in cfg."""
-    cl = cfg.clutter
-    azimuths, dopplers = _clutter_patches(cfg)
-    amp = np.sqrt(cl.patch_power)
     return CovarianceBundle(
         rho=float(np.exp(-cfg.noise_decay)),
         interference=_interferer_columns(cfg),
-        clutter_doppler=np.array([amp * doppler_steering(f_q, cfg.L) for f_q in dopplers]),
-        clutter_spatial=np.array([spatial_steering(az, cl.elevation, cfg.M) for az in azimuths]),
+        clutter_subspace=_clutter_subspace(cfg),
         target_map=build_target_map(cfg),
     )

@@ -47,6 +47,24 @@ def test_criterion_01_four_way_equivalence(four_solver_runs):
                  f"rel (<= 1e-6), runtime {elapsed:.1f}s")
 
 
+@pytest.mark.parametrize("seed, trial", [(11, 9), (0, 4), (0, 6)])
+def test_tangent_routes_agree_where_f0_is_near_singular(default_cfg, seed, trial):
+    """Criterion 1 for qcqp, sdp and cls at the dense-clutter geometry
+    (Q = 200), from benchmark starts along which F0 is near-singular
+    (eigenvalues down to about 1e-17 of the largest). am-direct is left
+    out until ROADMAP item 3 gives all four routes one null-space test:
+    in such cells rounding can pick its singular branch, and its
+    trajectory then leaves the other three."""
+    cfg = dataclasses.replace(
+        default_cfg, clutter=dataclasses.replace(default_cfg.clutter, patches=200))
+    s0 = _trial_waveform(cfg, seed, trial)
+    objs = np.array([cs.run(cfg, solver, max_iter=20, rescale=True,
+                            init_waveform=s0).trace.objectives()
+                     for solver in ("qcqp", "sdp", "cls")])
+    spread = (objs.max(axis=0) - objs.min(axis=0)) / objs.min(axis=0)
+    assert np.max(spread) <= 1e-6, spread
+
+
 def test_criterion_02_monotone_descent(four_solver_runs):
     reports, _ = four_solver_runs
     for name, rep in reports.items():

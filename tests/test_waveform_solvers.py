@@ -501,8 +501,9 @@ def long_code(default_cfg):
 
 
 class TestLongCodeGeometry:
-    """A clutter factor with Q = 25 rows against N = 128: each route
-    decomposes only the small Gram of the matrix it needs."""
+    """Q = 25 patches against N = 128: the clutter factor has only
+    min(Q, L*M) = 2 rows, and each route decomposes only the small Gram of
+    the matrix it needs."""
 
     def test_routes_match_the_dense_tangent_solve(self, long_code):
         cfg, bundle, iterates = long_code
@@ -517,18 +518,21 @@ class TestLongCodeGeometry:
     @pytest.mark.parametrize("solver, kind", [
         ("am-direct", "eigh"), ("qcqp", "eigh"), ("sdp", "eigh"), ("cls", "svd")])
     def test_no_decomposition_larger_than_q(self, long_code, monkeypatch, solver, kind):
+        # bounded by the factor's rows, the clutter rank r = 2, not by Q = 25
         cfg, bundle, iterates = long_code
+        w, s = iterates[-1]
+        rows = bundle.hessian(w).shape[0]
+        assert rows == min(cfg.clutter.patches, cfg.L * cfg.M) == 2
         shapes = []
         for name in ("eigh", "svd"):
             def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
                 shapes.append((_name, np.shape(a)))
                 return _original(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, recorded)
-        _am_step(bundle, cfg, iterates[-1][1], solver, "root")
-        q = cfg.clutter.patches
+        _am_step(bundle, cfg, s, solver, "root")
         assert {name for name, _ in shapes} == {kind}, shapes
         for name, shape in shapes:
-            assert (max(shape) if name == "eigh" else min(shape)) <= q, shapes
+            assert (max(shape) if name == "eigh" else min(shape)) <= rows, shapes
 
 
 ROUTES_BY_MODE = {

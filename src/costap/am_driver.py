@@ -12,7 +12,9 @@ which exact block minimization guarantees up to solve precision.
 
 The paper's convergence argument also tracks the moving waveform
 constraint set (`constraint_set_drift`, an exact Hausdorff distance) and
-the diameter of the iterates' convex hull (`hull_diameter`).
+the diameter of the iterates' convex hull (`hull_diameter`). Both are
+computed after the loop: the drift in one call over the stacked
+steering vectors y_k = G^H w_k, NaN where a set is empty.
 """
 
 from __future__ import annotations
@@ -161,7 +163,9 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
     waveform step and the resulting objective recorded as a separate
     trace column; the iteration itself always continues from the
     unrescaled pair. Solver errors are re-raised with the iteration
-    index attached.
+    index attached. The drift of records 1..max_iter comes from one
+    stacked `constraint_set_drift` call after the loop (NaN for an empty
+    constraint set); record 0 has none.
     """
     check_run_args(solver, max_iter, lambda_mode)
     if init_waveform is None:
@@ -178,30 +182,32 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
                          rescaled=rescale, seed=seed)
 
     w = mvdr_update(total_cov(bundle, s), bundle.target_map, s, cfg.kappa)
-    y = bundle.target_map.conj().T @ w
+    ys = [bundle.target_map.conj().T @ w]
     trace.records.append(_record(bundle, cfg, 0, w, s, half=None, multiplier=None,
-                                 w_prev=None, s_prev=None, drift=None, rescale=rescale))
+                                 w_prev=None, s_prev=None, rescale=rescale))
 
     for k in range(1, max_iter + 1):
-        w_prev, s_prev, y_prev = w, s, y
+        w_prev, s_prev = w, s
         try:
             w, y, solution, half = _am_step(bundle, cfg, s_prev, solver, lambda_mode)
         except CostapError as exc:
             raise type(exc)(f"iteration {k}: {exc}") from exc
         s = solution.s
-        try:
-            drift = constraint_set_drift(y_prev, y, cfg.kappa, cfg.power)
-        except (Infeasible, ZeroSteering):
-            drift = float("nan")
+        ys.append(y)
         trace.records.append(_record(bundle, cfg, k, w, s, half=half,
                                      multiplier=solution.multiplier,
-                                     w_prev=w_prev, s_prev=s_prev, drift=drift,
-                                     rescale=rescale))
+                                     w_prev=w_prev, s_prev=s_prev, rescale=rescale))
+    if max_iter:
+        ys = np.array(ys)
+        drifts = constraint_set_drift(ys[:-1], ys[1:], cfg.kappa, cfg.power)
+        for rec, drift in zip(trace.records[1:], drifts.tolist()):
+            rec.drift = drift
     return _report(trace)
 
 
 def _record(bundle: CovarianceBundle, cfg: ScenarioConfig, k: int, w, s, *,
-            half, multiplier, w_prev, s_prev, drift, rescale) -> IterateRecord:
+            half, multiplier, w_prev, s_prev, rescale) -> IterateRecord:
+    """Record iteration k; `run` fills in its drift after the loop."""
     full = full_objective(bundle, w, s)
     clutter = bundle.clutter(s).quad(w)
     gs = bundle.target_map @ s
@@ -225,7 +231,7 @@ def _record(bundle: CovarianceBundle, cfg: ScenarioConfig, k: int, w, s, *,
         multiplier=multiplier,
         step_w=None if w_prev is None else float(np.linalg.norm(w - w_prev)),
         step_s=None if s_prev is None else float(np.linalg.norm(s - s_prev)),
-        drift=drift,
+        drift=None,
         rescaled_objective=rescaled_obj,
     )
 
@@ -272,9 +278,37 @@ def _circle_gap2(theta, kappa, z0, rho, inv_a, power, r_to) -> np.ndarray:
     return np.abs(z - kappa) ** 2 * inv_a + np.maximum(inplane - r_to, 0.0) ** 2
 
 
-def constraint_set_drift(y_prev, y_curr, kappa: float, power_bound: float) -> float:
+def _circle_max(params: np.ndarray, kappa: float) -> np.ndarray:
+    """The maximum of h over each row's circle, rows (z0, rho, inv_a,
+    ||s||^2, r_to): the best of a ring of angles, with every local peak
+    of the ring refined by zooms about it."""
+    z0, rest = params[:, :1], params[:, 1:].real.T[:, :, None]
+    vals = _circle_gap2(_RING, kappa, z0, *rest)
+    best = vals.max(axis=1)
+    ring = np.concatenate((vals[:, -1:], vals, vals[:, :1]), axis=1)
+    rows, cols = np.nonzero((vals >= ring[:, :-2]) & (vals >= ring[:, 2:]))
+    z0, rest, pick = z0[rows], rest[:, rows], np.arange(rows.size)
+    centre, half = _RING[cols, None], _RING[1]
+    for _ in range(_ZOOM_LEVELS):
+        theta = centre + half * _ZOOM_SAMPLES
+        vals = _circle_gap2(theta, kappa, z0, *rest)
+        k = vals.argmax(axis=1)
+        centre = theta[pick, k, None]
+        np.maximum.at(best, rows, vals[pick, k])
+        half *= _ZOOM_SAMPLES[1] - _ZOOM_SAMPLES[0]
+    return best
+
+
+def constraint_set_drift(y_prev, y_curr, kappa: float,
+                         power_bound: float) -> float | np.ndarray:
     """Hausdorff distance between the waveform constraint sets
     B_i = {s : y_i^H s = kappa, ||s||^2 <= P_o} of y_1 = y_prev, y_2 = y_curr.
+
+    Broadcasts over leading axes like a ufunc: an (N,) pair gives a
+    float, (K, N) stacks give K drifts, one per row pair, found in one
+    stacked circle search. A pair with an empty set (a numerically zero
+    steering vector, or a Capon point over the budget) gets NaN in its
+    own slot.
 
     B_i is the disk of radius r_i = sqrt(P_o - kappa^2/||y_i||^2) about
     c_i = kappa y_i/||y_i||^2 in its hyperplane. The distance to B_2 is
@@ -288,35 +322,34 @@ def constraint_set_drift(y_prev, y_curr, kappa: float, power_bound: float) -> fl
     - r_2 sqrt(P_o - |z|^2/||y_2||^2)) inside, with value and gradient
     matching on |z| = kappa. So the maximum lies on the circle z0 + rho
     e^{i theta}; it has no closed form and may be either of two local maxima,
-    so every peak of a ring of angles is refined, both directions at once,
-    in O(N). At N = 1 each set is its Capon point. Raises ZeroSteering or
-    Infeasible for an empty set.
+    so every peak of a ring of angles is refined, both directions of every
+    pair at once. The O(N) reductions stay per pair, so a stacked drift
+    equals the pairwise one bit for bit. At N = 1 each set is its Capon
+    point.
     """
-    (y1, a1), (y2, a2) = _steering_vector(y_prev), _steering_vector(y_curr)
-    r1, r2 = (np.sqrt(_feasible_radius2(power_bound, kappa, a)) for a in (a1, a2))
-    if y1.size == 1:
-        return float(abs(kappa * (y1[0] / a1 - y2[0] / a2)))
-    p = complex(y1.conj() @ y2)
-    # columns z0, rho, inv_a, ||s||^2, r_to; rows B_1 -> B_2, then B_2 -> B_1
-    params = np.array([
-        [kappa * p.conjugate() / a1, r1 * np.linalg.norm(y2 - (p / a1) * y1),
-         1.0 / a2, kappa**2 / a1 + r1 * r1, r2],
-        [kappa * p / a2, r2 * np.linalg.norm(y1 - (p.conjugate() / a2) * y2),
-         1.0 / a1, kappa**2 / a2 + r2 * r2, r1]]).T[:, :, None]
-    z0, rest = params[0], params[1:].real
-    vals = _circle_gap2(_RING, kappa, z0, *rest)
-    ring = np.concatenate((vals[:, -1:], vals, vals[:, :1]), axis=1)
-    rows, cols = np.nonzero((vals >= ring[:, :-2]) & (vals >= ring[:, 2:]))
-    z0, rest, pick = z0[rows], rest[:, rows], np.arange(rows.size)
-    centre, half, best = _RING[cols, None], _RING[1], float(vals.max())
-    for _ in range(_ZOOM_LEVELS):
-        theta = centre + half * _ZOOM_SAMPLES
-        vals = _circle_gap2(theta, kappa, z0, *rest)
-        k = vals.argmax(axis=1)
-        centre = theta[pick, k, None]
-        best = max(best, float(vals[pick, k].max()))
-        half *= _ZOOM_SAMPLES[1] - _ZOOM_SAMPLES[0]
-    return float(np.sqrt(best))
+    y1s, y2s = np.broadcast_arrays(np.asarray(y_prev), np.asarray(y_curr))
+    shape, n = y1s.shape[:-1], y1s.shape[-1]
+    drift = np.full(int(np.prod(shape)), np.nan)
+    params, pairs = [], []
+    for i, (y_1, y_2) in enumerate(zip(y1s.reshape(-1, n), y2s.reshape(-1, n))):
+        try:
+            (y1, a1), (y2, a2) = _steering_vector(y_1), _steering_vector(y_2)
+            r1, r2 = (np.sqrt(_feasible_radius2(power_bound, kappa, a)) for a in (a1, a2))
+        except (Infeasible, ZeroSteering):
+            continue
+        if n == 1:
+            drift[i] = abs(kappa * (y1[0] / a1 - y2[0] / a2))
+            continue
+        p = complex(y1.conj() @ y2)
+        # rows B_1 -> B_2, then B_2 -> B_1
+        params += [[kappa * p.conjugate() / a1, r1 * np.linalg.norm(y2 - (p / a1) * y1),
+                    1.0 / a2, kappa**2 / a1 + r1 * r1, r2],
+                   [kappa * p / a2, r2 * np.linalg.norm(y1 - (p.conjugate() / a2) * y2),
+                    1.0 / a1, kappa**2 / a2 + r2 * r2, r1]]
+        pairs.append(i)
+    if pairs:
+        drift[pairs] = np.sqrt(_circle_max(np.array(params), kappa).reshape(-1, 2).max(axis=1))
+    return float(drift[0]) if not shape else drift.reshape(shape)
 
 
 def functional_relation_check(trace: IterateTrace, cfg: ScenarioConfig,

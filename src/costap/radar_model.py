@@ -25,10 +25,12 @@ per-iteration cost depends on Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solveh_banded
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpttrf, zpttrs
 
 from .errors import SingularCovariance, ValidationError
 
@@ -186,20 +188,29 @@ def _clutter_patches(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return azimuths, cl.doppler_slope * np.sin(azimuths) * np.cos(cl.elevation) / 2.0
 
 
+@lru_cache(maxsize=16)
+def _kms_factor(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The L D L^H factors (`zpttrf`) of the tridiagonal Kac-Murdock-Szego
+    inverse of order n >= 2: (1, 1+rho^2, ..., 1+rho^2, 1) / (1-rho^2) on
+    the diagonal and -rho / (1-rho^2) beside it. Read-only, as they are
+    shared by every solve of that order."""
+    s2 = 1.0 - rho * rho
+    d = np.full(n, (1.0 + rho * rho) / s2)
+    d[[0, -1]] = 1.0 / s2
+    d, e, info = zpttrf(d, np.full(n - 1, -rho / s2, dtype=np.complex128))
+    if info > 0:
+        raise LinAlgError(f"{info}th leading minor not positive definite")
+    d.flags.writeable = e.flags.writeable = False
+    return d, e
+
+
 def _kms_matvec(rho: float, x: np.ndarray) -> np.ndarray:
-    """R_n x along axis 0 for R_n = rho^|i-j|, as a banded solve with the
-    Kac-Murdock-Szego inverse: tridiagonal, (1, 1+rho^2, ..., 1+rho^2, 1)
-    / (1-rho^2) on the diagonal and -rho / (1-rho^2) beside it. That
-    formula needs n >= 2; at n = 1, R_n = [1]."""
+    """R_n x along axis 0 for R_n = rho^|i-j|, as a solve with the KMS
+    inverse factored once per (rho, n) (`_kms_factor`). At n = 1, R_n = [1]."""
     n = x.shape[0]
     if n == 1:
         return x.copy()
-    s2 = 1.0 - rho * rho
-    ab = np.empty((2, n))  # upper banded storage; ab[0, 0] is not read
-    ab[0] = -rho / s2
-    ab[1] = (1.0 + rho * rho) / s2
-    ab[1, [0, -1]] = 1.0 / s2
-    return solveh_banded(ab, x, check_finite=False)
+    return zpttrs(*_kms_factor(rho, n), x)[0]
 
 
 def _kms_whiten(rho: float, x: np.ndarray) -> np.ndarray:
@@ -208,6 +219,7 @@ def _kms_whiten(rho: float, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     flat = x.reshape(-1)  # rows end to end: each row's first entry is reset below
     out = np.empty_like(flat)
+    out[:1] = 0.0  # not left uninitialised for the scaling below
     np.multiply(flat[:-1], -rho, out=out[1:])
     out[1:] += flat[1:]
     out *= 1.0 / np.sqrt(1.0 - rho * rho)

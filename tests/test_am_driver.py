@@ -146,11 +146,11 @@ class TestConstraintSetDrift:
         assert abs(got - np.linalg.norm(c1 - c2)) <= 1e-10
 
     def test_infeasible(self):
+        # an empty set has no distance: NaN, as the trace records it
         rng = np.random.default_rng(6)
         y = random_complex(rng, 4)
         y *= 0.1  # kappa^2/||y||^2 >> P_o
-        with pytest.raises(cs.Infeasible):
-            cs.constraint_set_drift(y, y, 1.0, 1.0)
+        assert np.isnan(cs.constraint_set_drift(y, y, 1.0, 1.0))
 
     def test_scalar_sets_are_capon_points(self):
         # N = 1: the hyperplane is one point, whatever the budget
@@ -225,6 +225,32 @@ class TestConstraintSetDrift:
             grid = _reduced_grid_drift(y1, y2, kappa, p_o, angles)
             got = cs.constraint_set_drift(y1, y2, kappa, p_o)
             assert abs(got - grid) <= 1e-9 * grid, (n, kappa, p_o)
+
+    @pytest.mark.parametrize("n", [8, 128])
+    def test_stack_equals_pairwise_bit_for_bit(self, n):
+        rng = np.random.default_rng(30 + n)
+        ys = np.cumsum(0.3 * random_complex(rng, 21, n), axis=0) + random_complex(rng, n)
+        stacked = cs.constraint_set_drift(ys[:-1], ys[1:], 1.0, 1.5)
+        assert stacked.shape == (20,)
+        pairwise = [cs.constraint_set_drift(a, b, 1.0, 1.5) for a, b in zip(ys[:-1], ys[1:])]
+        assert all(isinstance(d, float) and np.isfinite(d) for d in pairwise)
+        assert stacked.tolist() == pairwise
+
+    def test_empty_set_in_a_stack_is_nan_in_its_slots_only(self):
+        rng = np.random.default_rng(40)
+        ys = random_complex(rng, 21, 8) + 3.0
+        ys[10] *= 1e-2  # kappa^2/||y_10||^2 >> P_o: B_10 is empty
+        drift = cs.constraint_set_drift(ys[:-1], ys[1:], 1.0, 1.0)
+        assert np.flatnonzero(np.isnan(drift)).tolist() == [9, 10]
+        assert np.all(np.isfinite(np.delete(drift, [9, 10])))
+        assert drift[8] == cs.constraint_set_drift(ys[8], ys[9], 1.0, 1.0)
+
+    def test_scalar_stack_gives_capon_point_distances(self):
+        rng = np.random.default_rng(41)
+        ys = random_complex(rng, 6, 1)
+        centres = 2.0 / ys[:, 0].conj()
+        drift = cs.constraint_set_drift(ys[:-1], ys[1:], 2.0, 50.0)
+        np.testing.assert_allclose(drift, np.abs(np.diff(centres)), rtol=1e-14)
 
 
 class TestRun:
@@ -363,18 +389,41 @@ def test_run_allocates_no_dense_covariance(default_cfg):
         assert peak < dense_bytes, (solver, peak)
 
 
-@pytest.mark.parametrize("solver", cs.SOLVERS)
-def test_diagnostics_called_through_module_globals(small_cfg, monkeypatch, solver):
-    # the benchmark times the diagnostics by wrapping these module
-    # globals: one drift per iteration and two hull diameters per run
+def _count_diagnostics(monkeypatch):
     calls = dict.fromkeys(("constraint_set_drift", "hull_diameter"), 0)
     for name in calls:
         def counted(*args, _name=name, _original=getattr(am_driver, name)):
             calls[_name] += 1
             return _original(*args)
         monkeypatch.setattr(am_driver, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("solver", cs.SOLVERS)
+def test_diagnostics_called_through_module_globals(small_cfg, monkeypatch, solver):
+    # the benchmark times the diagnostics by wrapping these module
+    # globals: one stacked drift and two hull diameters per run
+    calls = _count_diagnostics(monkeypatch)
     cs.run(small_cfg, solver, max_iter=7, rescale=True)
-    assert calls == {"constraint_set_drift": 7, "hull_diameter": 2}
+    assert calls == {"constraint_set_drift": 1, "hull_diameter": 2}
+
+
+@pytest.mark.parametrize("solver", cs.SOLVERS)
+def test_drift_column_is_the_pairwise_drift(small_cfg, small_bundle, solver):
+    report = cs.run(small_cfg, solver, max_iter=7, rescale=True)
+    records = report.trace.records
+    assert records[0].drift is None
+    ys = [small_bundle.target_map.conj().T @ rec.w for rec in records]
+    for k in range(1, len(records)):
+        want = cs.constraint_set_drift(ys[k - 1], ys[k], small_cfg.kappa, small_cfg.power)
+        assert isinstance(records[k].drift, float) and records[k].drift == want, k
+
+
+def test_no_drift_call_without_iterations(small_cfg, monkeypatch):
+    calls = _count_diagnostics(monkeypatch)
+    report = cs.run(small_cfg, "qcqp", max_iter=0, rescale=True)
+    assert calls == {"constraint_set_drift": 0, "hull_diameter": 2}
+    assert report.trace.records[0].drift is None and report.max_constraint_drift == 0.0
 
 
 class TestFunctionalRelationCheck:

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 
 import costap as cs
-from costap.radar_model import _space_time_map
+from costap.radar_model import _kms_matvec, _space_time_map
 
 from helpers import (
     build_clutter_operators,
@@ -307,6 +308,26 @@ class TestSpaceTimeCovOracle:
         np.testing.assert_allclose(dense @ r.solve(w), w, atol=1e-12)
         empty = cs.SpaceTimeCov(0.0, np.zeros((n, 0), dtype=complex))
         np.testing.assert_allclose(empty.solve(w), w, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 320])
+    @pytest.mark.parametrize("decay", [0.005, 3.0])
+    def test_kms_matvec_is_the_banded_solve_bit_for_bit(self, n, decay):
+        # the factor cached per (rho, n) gives the bits of a fresh banded
+        # solve with the KMS inverse, for vectors and for columns
+        rho = math.exp(-decay)
+        s2 = 1.0 - rho * rho
+        if n == 1:
+            ab = np.ones((1, 1))  # R_n = [1]
+        else:
+            ab = np.array([np.full(n, -rho / s2), np.full(n, (1.0 + rho * rho) / s2)])
+            ab[1, [0, -1]] = 1.0 / s2
+        rng = np.random.default_rng(13)
+        for shape in ((n,), (n, 4)):
+            x = random_complex(rng, *shape)
+            for _ in range(2):  # the second call reads the cached factor
+                got = _kms_matvec(rho, x)
+                assert got.shape == x.shape
+                assert np.array_equal(got, solveh_banded(ab, x))
 
 
 def _with_clutter(cfg, **changes):

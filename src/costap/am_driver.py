@@ -30,7 +30,7 @@ from .receiver import mvdr_update
 from .waveform_solvers import (
     WaveformSolution,
     _feasible_radius2,
-    _steering_vector,
+    _steering_norm2,
     cls_solve,
     direct_update,
     qcqp_solve,
@@ -329,11 +329,12 @@ def constraint_set_drift(y_prev, y_curr, kappa: float,
     """
     y1s, y2s = np.broadcast_arrays(np.asarray(y_prev), np.asarray(y_curr))
     shape, n = y1s.shape[:-1], y1s.shape[-1]
-    drift = np.full(int(np.prod(shape)), np.nan)
+    y1s, y2s = (_as_complex(ys).reshape(-1, n) for ys in (y1s, y2s))
+    drift = np.full(len(y1s), np.nan)
     params, pairs = [], []
-    for i, (y_1, y_2) in enumerate(zip(y1s.reshape(-1, n), y2s.reshape(-1, n))):
+    for i, (y1, y2) in enumerate(zip(y1s, y2s)):
         try:
-            (y1, a1), (y2, a2) = _steering_vector(y_1), _steering_vector(y_2)
+            a1, a2 = _steering_norm2(y1), _steering_norm2(y2)
             r1, r2 = (np.sqrt(_feasible_radius2(power_bound, kappa, a)) for a in (a1, a2))
         except (Infeasible, ZeroSteering):
             continue

@@ -4,8 +4,8 @@ Tolerances are module constants so tests and callers agree on what
 "numerically zero" means:
 
 * ``TAU_HERM``  relative max-abs asymmetry allowed before NotHermitian
-* ``TAU_PSD``   eigenvalue floor, scaled by the spectral norm
-* ``TAU_RANK``  relative singular-value cutoff for pseudoinverses
+* ``TAU_PSD``   ``hermitian_sqrt``'s eigenvalue floor, scaled by the spectral norm
+* ``TAU_RANK``  the waveform step's one rank floor, relative to tr F0
 * ``TAU_ZERO``  absolute norm below which a vector counts as zero
 
 The secular root solver ``bisect_root`` has no tolerance: it stops at

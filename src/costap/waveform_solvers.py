@@ -13,12 +13,15 @@ complement of y, reduces it to least squares on a ball:
 
 with C = B W and d = -(kappa/||y||^2) B y. One ``WaveformProblem`` per
 solve holds what every route shares: the validated inputs, the Capon
-point kappa*y/||y||^2, W, r^2, (C, d) and, the first time qcqp, sdp or
-the certificate needs it, the eigen-decomposition of M = C^H C. One
-multiplier regime is shared too (``_solve``): zero mode takes the point
-at multiplier 0 and ignores the bound; root mode returns the Capon point
-when r^2 = 0, the point at multiplier 0 when it fits, and otherwise the
-root of the route's decreasing secular function from the one safeguarded
+point kappa*y/||y||^2, W, r^2, (C, d), the eigen-decomposition of
+M = C^H C the first time qcqp, sdp or the certificate needs it, and one
+rank floor, TAU_RANK * tr F0: each route counts an eigenvalue or squared
+singular value at or below it as zero, so near-singular F0 gives all
+four the same point, the minimum-norm minimizer. One multiplier regime
+is shared too (``_solve``): zero mode takes the point at multiplier 0
+and ignores the bound; root mode returns the Capon point when r^2 = 0,
+the point at multiplier 0 when it fits, and otherwise the root of the
+route's decreasing secular function from the one safeguarded
 Newton-bisection solver, ``bisect_root``, which stops at float
 resolution. Each route keeps only its own decomposition and, from it,
 its secular function, derivative, bracket and point. Eigenpairs of a
@@ -28,8 +31,8 @@ with W, not O(N^3):
 
 * ``direct_update``  eigh of the Gram of B: ridge update
   s = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y), with the null
-  space of F0 explicit (the part of y outside the row space of B)
-  when k < N;
+  space of F0 explicit (the part of y outside its range) when F0 is
+  singular;
 * ``qcqp_solve``     eigh of the Gram of C: tangent-space secular
   equation;
 * ``sdp_dual_solve`` the same secular equation, bracketed by
@@ -58,7 +61,7 @@ from .errors import (
     ZeroSteering,
     ZeroWaveform,
 )
-from .matrix_ops import TAU_PSD, TAU_RANK, TAU_ZERO, _as_complex, bisect_root
+from .matrix_ops import TAU_RANK, TAU_ZERO, _as_complex, bisect_root
 # No route uses it; the benchmark still traces it here until its contract
 # drops it (ROADMAP item 1).
 from .matrix_ops import hermitian_sqrt  # noqa: F401
@@ -67,12 +70,12 @@ _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_RTOL = 1e-8
 
 
-def _steering_vector(y_w) -> tuple[np.ndarray, float]:
-    y = _as_complex(y_w).reshape(-1)
+def _steering_norm2(y: np.ndarray) -> float:
+    """||y||^2 of a validated 1-D steering vector, which must not be zero."""
     ny2 = float(np.real(y.conj() @ y))
     if np.sqrt(ny2) <= TAU_ZERO:
         raise ZeroSteering("steering vector is numerically zero")
-    return y, ny2
+    return ny2
 
 
 def _orth_complement(y: np.ndarray) -> np.ndarray:
@@ -125,18 +128,14 @@ class WaveformProblem:
     steering: np.ndarray
     kappa: float
     power_bound: float
+    ny2: float
 
     @classmethod
     def _validated(cls, factor, y_w, kappa: float, power_bound: float) -> WaveformProblem:
-        b = _as_complex(factor)
-        y, _ = _steering_vector(y_w)
+        b, y = _as_complex(factor), _as_complex(y_w).reshape(-1)
         if b.ndim != 2 or b.shape[1] != y.size:
             raise ValueError(f"factor shape {b.shape} does not match steering length {y.size}")
-        return cls(b, y, float(kappa), float(power_bound))
-
-    @cached_property
-    def ny2(self) -> float:
-        return float(np.real(self.steering.conj() @ self.steering))
+        return cls(b, y, float(kappa), float(power_bound), _steering_norm2(y))
 
     @cached_property
     def center(self) -> np.ndarray:
@@ -146,6 +145,12 @@ class WaveformProblem:
     @cached_property
     def r2(self) -> float:
         return _feasible_radius2(self.power_bound, self.kappa, self.ny2)
+
+    @cached_property
+    def floor(self) -> float:
+        """TAU_RANK * tr F0 = TAU_RANK * ||B||_F^2: an eigenvalue of F0 or
+        of M, or a squared singular value of C, at or below it is zero."""
+        return TAU_RANK * max(float(np.linalg.norm(self.factor)) ** 2, TAU_ZERO)
 
     @cached_property
     def basis(self) -> np.ndarray:
@@ -167,11 +172,10 @@ class WaveformProblem:
         """(mu, V, c, abs2, kept): M = C^H C has eigenvalues mu on the
         columns of V, W V (-c/(mu + gamma)) is the tangent point at
         multiplier gamma, abs2 = ||V_i||^2 |c_i|^2 are the secular weights
-        and kept marks the eigenvalues above TAU_RANK."""
+        and kept marks the eigenvalues above the floor."""
         c_mat, d = self.least_squares
         mu, vecs, left = _gram_eigh(c_mat)
-        mu_scale = float(np.max(np.abs(mu))) if mu.size else 0.0
-        kept = mu > TAU_RANK * max(mu_scale, TAU_ZERO)
+        kept = mu > self.floor
         if left is None:
             chat = -(vecs.conj().T @ (c_mat.conj().T @ d))
             abs2 = np.abs(chat) ** 2
@@ -186,15 +190,12 @@ class WaveformProblem:
     def secular(self, gamma: float) -> float:
         """||P q(gamma)||^2 - r^2, decreasing on gamma >= 0.
 
-        At gamma = 0 it takes the pseudoinverse value, or +inf, its limit
-        from the right, when the linear term leaves the range of M, so
-        that the multiplier is then strictly positive.
+        At gamma = 0 it takes the pseudoinverse value, the minimum-norm
+        point's, over the eigenvalues above the floor.
         """
         mu, _, _, abs2, kept = self._spectrum
         if gamma != 0.0:
             return float(np.sum(abs2 / (mu + gamma) ** 2)) - self.r2
-        if float(np.sum(abs2[~kept])) > 1e-24 * max(float(np.sum(abs2)), TAU_ZERO):
-            return np.inf
         return float(np.sum(abs2[kept] / mu[kept] ** 2)) - self.r2
 
     def secular_derivative(self, gamma: float) -> float:
@@ -234,7 +235,6 @@ class DualCertificate:
     dual_value: float
     primal_value: float
     gap: float
-    rank1_residual: float
     constraint_value: float = 0.0
 
 
@@ -317,23 +317,20 @@ def direct_update(factor, g_map, w, kappa: float, power_bound: float,
     y, ny2 = problem.steering, problem.ny2
 
     evals, evecs, left = _gram_eigh(problem.factor)
-    spectral = float(np.max(np.abs(evals))) if evals.size else 0.0
-    floor = TAU_PSD * max(spectral, TAU_ZERO)
+    keep = evals > problem.floor
+    evals, evecs = evals[keep], evecs[:, keep]
     if left is not None:
-        # rank F0 < N: the eigenvectors above the floor span its range, and
-        # the rest of y, in its null space, is one more eigenvalue 0
-        keep = evals > floor
-        evals, vecs = evals[keep], evecs[:, keep] / np.sqrt(evals[keep])
-        ytilde = vecs.conj().T @ y
-        y_null = y - vecs @ ytilde
-        y_null -= vecs @ (vecs.conj().T @ y_null)  # rounding leaves some of it in the range
+        evecs = evecs / np.sqrt(evals)
+    ytilde = evecs.conj().T @ y
+    rank = evals.size
+    if rank < y.size:
+        # F0 is singular: the rest of y, in its null space, is one more eigenvalue 0
+        y_null = y - evecs @ ytilde
+        y_null -= evecs @ (evecs.conj().T @ y_null)  # rounding leaves some of it in the range
         n_null = float(np.linalg.norm(y_null))
         evals = np.concatenate(([0.0], evals))
-        evecs = np.column_stack((y_null / n_null if n_null > 0.0 else y_null, vecs))
+        evecs = np.column_stack((y_null / n_null if n_null > 0.0 else y_null, evecs))
         ytilde = np.concatenate(([n_null], ytilde))
-    else:
-        ytilde = evecs.conj().T @ y
-    singular = bool(evals.size == 0 or float(evals[0]) <= floor)
     abs2 = np.abs(ytilde) ** 2
 
     def ridge(lam: float) -> tuple[np.ndarray, float]:
@@ -342,25 +339,25 @@ def direct_update(factor, g_map, w, kappa: float, power_bound: float,
         s = (kappa / denom) * (evecs @ (ytilde / d))
         return s, kappa**2 * float(np.sum(abs2 / d**2)) / denom**2
 
-    if not singular:
+    if rank == y.size:
         s0, norm2_0 = ridge(0.0)
     elif lambda_mode == "zero":
         raise SingularHessian(
-            "zero-multiplier mode needs an invertible Hessian "
-            f"(min eigenvalue {float(evals[0]):.3e})"
+            f"zero-multiplier mode needs an invertible Hessian (rank {rank} < N = {y.size})"
         )
     else:
-        null = evals <= floor
-        a_null = float(np.sum(abs2[null]))
-        if a_null > 1e-14 * ny2:
+        a_null, a_range = float(abs2[0]), float(np.sum(abs2[1:]))
+        # y's null part n is the tangent direction P n, with Rayleigh quotient
+        # a_null y^H F0 y / (||y||^2 a_range): it counts above the floor, or if a_range = 0
+        if a_null * float(np.sum(evals * abs2)) >= problem.floor * ny2 * a_range:
             # limit of the ridge update: the null-space component wins
-            s0 = (kappa / a_null) * (evecs[:, null] @ ytilde[null])
+            s0 = (kappa / a_null) * (evecs[:, :1] @ ytilde[:1])
             norm2_0 = kappa**2 / a_null
         else:
-            kept = ~null
-            denom = float(np.sum(abs2[kept] / evals[kept]))
-            s0 = (kappa / denom) * (evecs[:, kept] @ (ytilde[kept] / evals[kept]))
-            norm2_0 = kappa**2 * float(np.sum(abs2[kept] / evals[kept] ** 2)) / denom**2
+            # the minimum-norm minimizer, as in the tangent routes
+            denom = float(np.sum(abs2[1:] / evals[1:]))
+            s0 = (kappa / denom) * (evecs[:, 1:] @ (ytilde[1:] / evals[1:]))
+            norm2_0 = kappa**2 * float(np.sum(abs2[1:] / evals[1:] ** 2)) / denom**2
 
     def point(lam: float) -> np.ndarray:
         return s0 if lam == 0.0 else ridge(lam)[0]
@@ -453,10 +450,9 @@ def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
     """Rank-1 certificate for a solved waveform subproblem.
 
     The lifted point Q = [[q q^H, q], [q^H, 1]] of the tangent component
-    q = P(s - Capon point) is rank 1 by construction, so rank1_residual
-    is 0. Its trace products with the lifted objective
-    [[P F0 P, c], [c^H, 0]], c = (kappa/||y||^2) P F0 y, and with the
-    ball [[P, 0], [0, 0]] are the quadratic forms
+    q = P(s - Capon point) is rank 1 by construction. Its trace products
+    with the lifted objective [[P F0 P, c], [c^H, 0]], c = (kappa/||y||^2)
+    P F0 y, and with the ball [[P, 0], [0, 0]] are the quadratic forms
     q^H F0 q + 2 Re(q^H c) (primal value) and ||q||^2 (constraint
     value), with F0 applied as B^H (B q). The dual is re-evaluated at the
     solution's multiplier from the problem's eigen-decomposition; the
@@ -480,7 +476,6 @@ def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
         dual_value=dual,
         primal_value=primal,
         gap=primal - dual,
-        rank1_residual=0.0,
         constraint_value=float(np.real(q.conj() @ q)),
     )
 
@@ -500,9 +495,8 @@ def cls_solve(factor, y_w, kappa: float, power_bound: float,
     c_mat, d = problem.least_squares
     u_mat, sig, vh = np.linalg.svd(c_mat, full_matrices=False)
     dhat = u_mat.conj().T @ d
-    # the rank cutoff is on sig^2, the eigenvalues of P F0 P, as in the tangent routes
-    sig2_scale = float(sig[0]) ** 2 if sig.size else 0.0
-    kept = sig**2 > TAU_RANK * max(sig2_scale, TAU_ZERO)
+    # the rank floor is on sig^2, the eigenvalues of P F0 P, as in the tangent routes
+    kept = sig**2 > problem.floor
     weights = (sig * np.abs(dhat)) ** 2
 
     def point(mu: float) -> np.ndarray:

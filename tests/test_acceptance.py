@@ -47,20 +47,20 @@ def test_criterion_01_four_way_equivalence(four_solver_runs):
                  f"rel (<= 1e-6), runtime {elapsed:.1f}s")
 
 
-@pytest.mark.parametrize("seed, trial", [(11, 9), (0, 4), (0, 6)])
-def test_tangent_routes_agree_where_f0_is_near_singular(default_cfg, seed, trial):
-    """Criterion 1 for qcqp, sdp and cls at the dense-clutter geometry
-    (Q = 200), from benchmark starts along which F0 is near-singular
-    (eigenvalues down to about 1e-17 of the largest). am-direct is left
-    out until ROADMAP item 3 gives all four routes one null-space test:
-    in such cells rounding can pick its singular branch, and its
-    trajectory then leaves the other three."""
+@pytest.mark.parametrize("seed, trial", [(0, 4), (0, 6), (0, 7), (7, 3), (11, 9)])
+def test_four_routes_agree_where_f0_is_near_singular(default_cfg, seed, trial):
+    """Criterion 1 at the dense-clutter geometry (Q = 200), from benchmark
+    starts along which F0 is near-singular (eigenvalues down to about
+    1e-17 of the largest). There y's part in the null space of F0 can sit
+    at rounding level; all four routes test it against the one rank floor
+    and take the minimum-norm minimizer, so no route's trajectory follows
+    the rounding away from the other three."""
     cfg = dataclasses.replace(
         default_cfg, clutter=dataclasses.replace(default_cfg.clutter, patches=200))
     s0 = _trial_waveform(cfg, seed, trial)
     objs = np.array([cs.run(cfg, solver, max_iter=20, rescale=True,
                             init_waveform=s0).trace.objectives()
-                     for solver in ("qcqp", "sdp", "cls")])
+                     for solver in cs.SOLVERS])
     spread = (objs.max(axis=0) - objs.min(axis=0)) / objs.min(axis=0)
     assert np.max(spread) <= 1e-6, spread
 
@@ -117,7 +117,7 @@ def test_criterion_04_zero_multiplier_regime(default_cfg):
 def test_criterion_05_strong_duality():
     rng = np.random.default_rng(1905)
     kappa = 1.0
-    worst_gap = worst_rel = worst_rank1 = 0.0
+    worst_gap = worst_rel = 0.0
     for _ in range(100):
         b = random_factor(rng, 8, eig_lo=0.0, eig_hi=2.0)
         y = random_complex(rng, 8)
@@ -132,13 +132,10 @@ def test_criterion_05_strong_duality():
         rel = abs(nu_qcqp - cert.dual_value) / (1.0 + abs(nu_qcqp))
         assert rel <= 1e-6
         assert cert.gap >= -1e-8
-        # the certificate's lifting is rank 1 by construction: residual 0
-        assert abs(cert.rank1_residual) <= 1e-10
         worst_rel = max(worst_rel, rel)
         worst_gap = min(worst_gap, cert.gap)
-        worst_rank1 = max(worst_rank1, abs(cert.rank1_residual))
     _passline(5, f"100 instances: |nu_QCQP - nu_dual| <= {worst_rel:.2e} rel "
-                 f"(<= 1e-6), gap >= {worst_gap:.1e}, rank1 residual <= {worst_rank1:.1e}")
+                 f"(<= 1e-6), gap >= {worst_gap:.1e}")
 
 
 def test_criterion_06_bruteforce_oracle():

@@ -62,3 +62,15 @@ def test_run_loads_no_scipy_signal():
                              [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])})
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_python_m_costap_runs_the_cli():
+    # a package __main__ runs the CLI without re-importing harness_cli,
+    # which `python -m costap.harness_cli` does with a RuntimeWarning
+    out = subprocess.run([sys.executable, "-m", "costap", "--help"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                             [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])})
+    assert out.returncode == 0, out.stderr
+    assert "usage: costap" in out.stdout
+    assert "RuntimeWarning" not in out.stderr

@@ -6,16 +6,17 @@ The subproblem at each outer iteration is
 
 with B the k x N clutter factor of the current weights (F0 = B^H B has
 rank at most k and is never formed) and y = G^H w. Writing
-s = W x + kappa*y/||y||^2, with W an orthonormal basis of the
-complement of y, reduces it to least squares on a ball:
+s = P x + kappa*y/||y||^2, with P = I - y y^H/||y||^2 the projector onto
+the complement of y, reduces it to least squares on a ball:
 
-    min_x  ||C x - d||^2   s.t.  ||x||^2 <= r^2 := P_o - kappa^2/||y||^2
+    min_x  ||C x - d||^2   s.t.  ||P x||^2 <= r^2 := P_o - kappa^2/||y||^2
 
-with C = B W and d = -(kappa/||y||^2) B y. One ``WaveformProblem`` per
-solve holds what every route shares: the validated inputs, the Capon
-point kappa*y/||y||^2, W, r^2, (C, d), the eigen-decomposition of
-M = C^H C the first time qcqp, sdp or the certificate needs it, and one
-rank floor, TAU_RANK * tr F0: each route counts an eigenvalue or squared
+with C = B P, a rank-one update of B, and d = -(kappa/||y||^2) B y. One
+``WaveformProblem`` per solve holds what every route shares: the
+validated inputs, the Capon point kappa*y/||y||^2, the projector P,
+r^2, (C, d), the eigen-decomposition of M = C^H C = P F0 P the first
+time qcqp, sdp or the certificate needs it, and one rank floor,
+TAU_RANK * tr F0: each route counts an eigenvalue or squared
 singular value at or below it as zero, so near-singular F0 gives all
 four the same point, the minimum-norm minimizer. One multiplier regime
 is shared too (``_solve``): zero mode takes the point at multiplier 0
@@ -26,8 +27,7 @@ Newton-bisection solver, ``bisect_root``, which stops at float
 resolution. Each route keeps only its own decomposition and, from it,
 its secular function, derivative, bracket and point. Eigenpairs of a
 factor's X^H X come from the smaller of its two Gram matrices
-(``_gram_eigh``), so with k < N a step costs O(k^2 N) plus the products
-with W, not O(N^3):
+(``_gram_eigh``), so with k < N a step costs O(k^2 N), not O(N^3):
 
 * ``direct_update``  eigh of the Gram of B: ridge update
   s = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y), with the null
@@ -78,12 +78,6 @@ def _steering_norm2(y: np.ndarray) -> float:
     return ny2
 
 
-def _orth_complement(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis (N x N-1) of the complement of span{y}."""
-    q, _ = np.linalg.qr(y.reshape(-1, 1), mode="complete")
-    return q[:, 1:]
-
-
 def _feasible_radius2(power_bound: float, kappa: float, ny2: float) -> float:
     r2 = power_bound - kappa**2 / ny2
     if r2 < -1e-12 * max(power_bound, kappa**2 / ny2):
@@ -118,10 +112,11 @@ class WaveformProblem:
     gives a PSD F0. Routes build the problem with ``_validated``. The
     derived quantities are computed on first use, so each route pays
     only for what it reads: r^2 raises Infeasible only where the power
-    bound matters, and the eigen-decomposition of M = C^H C (the tangent
-    secular function, point and dual, O(min(k, N)) per evaluation) is
-    formed once, from the smaller Gram matrix of C, for qcqp, sdp or the
-    certificate.
+    bound matters, and the eigen-decomposition of M = C^H C = P F0 P (the
+    tangent secular function, point and dual, O(min(k, N)) per
+    evaluation) is formed once, from the smaller Gram matrix of C, for
+    qcqp, sdp or the certificate. ``project`` is the one place the
+    tangent projector P is applied.
     """
 
     factor: np.ndarray
@@ -152,16 +147,18 @@ class WaveformProblem:
         of M, or a squared singular value of C, at or below it is zero."""
         return TAU_RANK * max(float(np.linalg.norm(self.factor)) ** 2, TAU_ZERO)
 
-    @cached_property
-    def basis(self) -> np.ndarray:
-        return _orth_complement(self.steering)
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """P x = x - y (y^H x)/||y||^2, column by column for an N x m x."""
+        y = self.steering
+        return x - np.multiply.outer(y, y.conj() @ x) / self.ny2
 
     @cached_property
     def least_squares(self) -> tuple[np.ndarray, np.ndarray]:
-        """(C, d) = (B W, -(kappa/||y||^2) B y): s = W x + Capon point
-        costs ||C x - d||^2."""
+        """(C, d) = (B P, -(kappa/||y||^2) B y): s = P x + Capon point
+        costs ||C x - d||^2. C = B - (B y) y^H/||y||^2 costs O(kN)."""
         b = self.factor
-        return b @ self.basis, -(self.kappa / self.ny2) * (b @ self.steering)
+        return (self.project(b.conj().T).conj().T,
+                -(self.kappa / self.ny2) * (b @ self.steering))
 
     def apply_hessian(self, x: np.ndarray) -> np.ndarray:
         """F0 x = B^H (B x)."""
@@ -170,19 +167,20 @@ class WaveformProblem:
     @cached_property
     def _spectrum(self) -> tuple[np.ndarray, ...]:
         """(mu, V, c, abs2, kept): M = C^H C has eigenvalues mu on the
-        columns of V, W V (-c/(mu + gamma)) is the tangent point at
+        columns of V, P V (-c/(mu + gamma)) is the tangent point at
         multiplier gamma, abs2 = ||V_i||^2 |c_i|^2 are the secular weights
-        and kept marks the eigenvalues above the floor."""
+        and kept marks the eigenvalues above the floor.
+
+        C^H d lies in the range of M, but at or below the floor its weight
+        on an eigenpair cannot be told from rounding (y itself is an exact
+        null vector of P F0 P): those pairs carry none, c_i = 0."""
         c_mat, d = self.least_squares
         mu, vecs, left = _gram_eigh(c_mat)
         kept = mu > self.floor
         if left is None:
-            chat = -(vecs.conj().T @ (c_mat.conj().T @ d))
+            chat = np.where(kept, -(vecs.conj().T @ (c_mat.conj().T @ d)), 0.0)
             abs2 = np.abs(chat) ** 2
         else:
-            # C^H d lies in the range of M, but below the cutoff the Gram
-            # form cannot tell an eigenpair's weight mu |c|^2 from rounding
-            # (d is free outside the range of C): those pairs carry none
             chat = np.where(kept, -(left.conj().T @ d), 0.0)
             abs2 = mu * np.abs(chat) ** 2
         return mu, vecs, chat, abs2, kept
@@ -211,11 +209,8 @@ class WaveformProblem:
     def tangent_point(self, gamma: float) -> np.ndarray:
         """s(gamma) = q(gamma) + Capon point, pseudoinverse semantics at 0."""
         mu, vecs, chat, _, kept = self._spectrum
-        if gamma == 0.0:
-            coeff = np.where(kept, -chat / np.where(kept, mu, 1.0), 0.0)
-        else:
-            coeff = -chat / (mu + gamma)
-        return self.basis @ (vecs @ coeff) + self.center
+        coeff = -chat / (np.where(kept, mu, 1.0) if gamma == 0.0 else mu + gamma)
+        return self.project(vecs @ coeff) + self.center
 
     def dual_value(self, alpha: float) -> float:
         """The concave dual g(alpha) = -alpha r^2 - c^H (M + alpha I)^+ c."""
@@ -262,7 +257,7 @@ def _make_solution(problem: WaveformProblem, s: np.ndarray, multiplier: float,
     y = problem.steering
     fs = problem.apply_hessian(s)
     v = fs + multiplier * s
-    tangential = v - y * ((y.conj() @ v) / problem.ny2)
+    tangential = problem.project(v)
     nv = float(np.linalg.norm(v))
     return WaveformSolution(
         s=s,
@@ -461,12 +456,10 @@ def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
     if solution.problem is None:
         raise ValueError("solution carries no problem data to certify")
     prob = solution.problem
-    y = prob.steering
-    q = solution.s - prob.center
-    q = q - y * ((y.conj() @ q) / prob.ny2)
+    q = prob.project(solution.s - prob.center)
     fq = prob.apply_hessian(q)
     primal = (float(np.real(q.conj() @ fq))
-              + 2.0 * (prob.kappa / prob.ny2) * float(np.real(fq.conj() @ y)))
+              + 2.0 * (prob.kappa / prob.ny2) * float(np.real(fq.conj() @ prob.steering)))
 
     alpha = solution.multiplier
     dual = prob.dual_value(alpha)
@@ -484,12 +477,13 @@ def cls_solve(factor, y_w, kappa: float, power_bound: float,
               mode: str = "root") -> WaveformSolution:
     """Hyperellipsoid-constrained least squares route, solved by SVD.
 
-    With the clutter factor B (B^H B = F0), C = B W and
+    With the clutter factor B (B^H B = F0), C = B P and
     d = -(kappa/||y||^2) B y, the tangent problem is exactly
-    min ||C x - d||^2 subject to ||x||^2 <= r^2, s = W x + Capon point:
+    min ||C x - d||^2 subject to ||P x||^2 <= r^2, s = P x + Capon point:
     the minimum-norm LS solution if it fits the radius, otherwise the
     secular equation in the multiplier, diagonalized by the thin SVD
-    of C.
+    of C, whose right singular vectors above the floor lie in the range
+    of P.
     """
     problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
     c_mat, d = problem.least_squares
@@ -504,7 +498,7 @@ def cls_solve(factor, y_w, kappa: float, power_bound: float,
             coeff = np.where(kept, dhat / np.where(kept, sig, 1.0), 0.0)
         else:
             coeff = sig * dhat / (sig**2 + mu)
-        return problem.basis @ (vh.conj().T @ coeff) + problem.center
+        return problem.project(vh.conj().T @ coeff) + problem.center
 
     def psi(mu: float) -> float:
         if mu == 0.0:

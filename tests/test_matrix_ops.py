@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import costap as cs
-from costap.waveform_solvers import WaveformProblem, _orth_complement
+from costap.waveform_solvers import WaveformProblem
 
 from helpers import gram, random_complex, random_factor
 
@@ -50,27 +50,30 @@ class TestHermitianSqrt:
 
 
 class TestVectorProjector:
-    # the projector y y^H/||y||^2 onto span{y}, as I - W W^H from the
-    # orthonormal y-perp basis W that every tangent route uses
+    # the tangent projector P = I - y y^H/||y||^2 that every tangent route
+    # applies through WaveformProblem.project, built here column by column
+    @staticmethod
+    def projector(y):
+        problem = WaveformProblem._validated(np.eye(y.size), y, 1.0, 1.0)
+        return np.column_stack([problem.project(e) for e in np.eye(y.size, dtype=complex)])
+
     def test_idempotent_hermitian_annihilation(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             y = random_complex(rng, 6)
-            basis = _orth_complement(y)
-            assert basis.shape == (6, 5)
-            p = np.eye(6) - basis @ basis.conj().T
+            p = self.projector(y)
             assert np.max(np.abs(p @ p - p)) <= 1e-12
             assert np.max(np.abs(p.conj().T - p)) <= 1e-12
-            assert np.linalg.norm((np.eye(6) - p) @ y) <= 1e-12 * np.linalg.norm(y)
+            assert np.linalg.norm(p @ y) <= 1e-12 * np.linalg.norm(y)
 
     def test_matches_outer_product_formula(self):
         rng = np.random.default_rng(8)
         y = random_complex(rng, 8)
-        basis = _orth_complement(y)
-        expected = np.outer(y, y.conj()) / np.real(y.conj() @ y)
-        np.testing.assert_allclose(
-            np.eye(8) - basis @ basis.conj().T, expected, atol=1e-14
-        )
+        expected = np.eye(8) - np.outer(y, y.conj()) / np.real(y.conj() @ y)
+        np.testing.assert_allclose(self.projector(y), expected, atol=1e-14)
+        # the N x m form that builds C = B P, all columns at once
+        problem = WaveformProblem._validated(np.eye(8), y, 1.0, 1.0)
+        np.testing.assert_allclose(problem.project(np.eye(8)), expected, atol=1e-14)
 
 
 class TestBisectRoot:

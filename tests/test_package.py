@@ -1,5 +1,6 @@
 """The package surface and the benchmark's entry point."""
 
+import json
 import os
 import subprocess
 import sys
@@ -38,6 +39,20 @@ def test_benchmark_lists_its_metrics():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert "matrix_ops.bisect_root.evals" in out.stdout
+
+
+def test_benchmark_ladder_runs_every_route():
+    # the traced mode's ladder calls the routes and the bundle's target map
+    # with their own arguments, outside any run; a signature change there
+    # fails here, not only in a full benchmark run
+    out = subprocess.run([sys.executable, "bench/run.py", "--workload", "mc-demo", "--seed",
+                          "1", "--seconds", "1", "--trace", "1"], cwd=ROOT,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout[-4000:] + out.stderr[-2000:]
+    record = json.loads(out.stdout.strip().splitlines()[-1])
+    assert record["correct"] is True
+    for route in ("direct_update", "qcqp_solve", "sdp_dual_solve", "cls_solve"):
+        assert f"ladder.mnl320_q25.waveform_solvers.{route}.s" in record["metrics"], route
 
 
 def test_benchmark_self_tests_pass():

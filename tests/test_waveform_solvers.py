@@ -367,7 +367,7 @@ class TestClsSolve:
         assert sol.multiplier == 0.0
 
     def test_expansion_identity(self):
-        # ||C x - d||^2 must equal the objective s^H F0 s at s = W x + the
+        # ||C x - d||^2 must equal the objective s^H F0 s at s = P x + the
         # Capon point, validating the operator ordering of C and d
         rng = np.random.default_rng(23)
         for _ in range(10):
@@ -375,8 +375,8 @@ class TestClsSolve:
             problem = WaveformProblem._validated(b, y, kappa, p_o)
             c_mat, d = problem.least_squares
             for _ in range(10):
-                x = random_complex(rng, y.size - 1)
-                s = problem.basis @ x + problem.center
+                x = random_complex(rng, y.size)
+                s = problem.project(x) + problem.center
                 lhs = np.linalg.norm(c_mat @ x - d) ** 2
                 rhs = float(np.real(s.conj() @ (gram(b) @ s)))
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
@@ -518,13 +518,14 @@ class TestLongCodeGeometry:
     @pytest.mark.parametrize("solver, kind", [
         ("am-direct", "eigh"), ("qcqp", "eigh"), ("sdp", "eigh"), ("cls", "svd")])
     def test_no_decomposition_larger_than_q(self, long_code, monkeypatch, solver, kind):
-        # bounded by the factor's rows, the clutter rank r = 2, not by Q = 25
+        # bounded by the factor's rows, the clutter rank r = 2, not by Q = 25,
+        # and no route builds an N x N basis of y's complement by QR
         cfg, bundle, iterates = long_code
         w, s = iterates[-1]
         rows = bundle.hessian(w).shape[0]
         assert rows == min(cfg.clutter.patches, cfg.L * cfg.M) == 2
         shapes = []
-        for name in ("eigh", "svd"):
+        for name in ("eigh", "svd", "qr"):
             def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
                 shapes.append((_name, np.shape(a)))
                 return _original(a, *args, **kwargs)

@@ -144,9 +144,9 @@ def _am_step(bundle: CovarianceBundle, cfg: ScenarioConfig, s_prev: np.ndarray,
     y = bundle.target_map.conj().T @ w
     b = bundle.hessian(w)  # the clutter factor, F0 = B^H B
     if solver == "am-direct":
-        solution = direct_update(b, bundle.target_map, w, cfg.kappa, cfg.power, lambda_mode)
+        solution = direct_update(b, bundle.target_map, w, cfg.kappa, cfg.power, mode=lambda_mode)
     elif solver == "qcqp":
-        solution = qcqp_solve(b, y, cfg.kappa, cfg.power, gamma_mode=lambda_mode)
+        solution = qcqp_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
     elif solver == "sdp":
         solution = sdp_dual_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
     else:

@@ -14,20 +14,21 @@ the complement of y, reduces it to least squares on a ball:
 with C = B P, a rank-one update of B, and d = -(kappa/||y||^2) B y. One
 ``WaveformProblem`` per solve holds what every route shares: the
 validated inputs, the Capon point kappa*y/||y||^2, the projector P,
-r^2, (C, d), the eigen-decomposition of M = C^H C = P F0 P the first
-time qcqp, sdp or the certificate needs it, and one rank floor,
-TAU_RANK * tr F0: each route counts an eigenvalue or squared
-singular value at or below it as zero, so near-singular F0 gives all
-four the same point, the minimum-norm minimizer. One multiplier regime
-is shared too (``_solve``): zero mode takes the point at multiplier 0
-and ignores the bound; root mode returns the Capon point when r^2 = 0,
-the point at multiplier 0 when it fits, and otherwise the root of the
-route's decreasing secular function from the one safeguarded
-Newton-bisection solver, ``bisect_root``, which stops at float
-resolution. Each route keeps only its own decomposition and, from it,
-its secular function, derivative, bracket and point. Eigenpairs of a
-factor's X^H X come from the smaller of its two Gram matrices
-(``_gram_eigh``), so with k < N a step costs O(k^2 N), not O(N^3):
+r^2, (C, d) and one rank floor, TAU_RANK * tr F0. Each route
+decomposes once and drops the eigenpairs (or singular triplets) at or
+below the floor there, so near-singular F0 gives all four the same
+point, the minimum-norm minimizer. The three tangent routes share one
+spectrum form, (mu, V, c) with M = C^H C = P F0 P ~ V diag(mu) V^H over
+the pairs above the floor, and from it one secular function,
+derivative, bracket, point and dual; they differ only in how they
+decompose C. One multiplier regime is shared too (``_solve``): zero
+mode takes the point at multiplier 0 and ignores the bound; root mode
+returns the Capon point when r^2 = 0, the point at multiplier 0 when it
+fits, and otherwise the root of the route's decreasing secular function
+from the one safeguarded Newton-bisection solver, ``bisect_root``, which
+stops at float resolution. Eigenpairs of a factor's X^H X come from the
+smaller of its two Gram matrices (``_gram_eigh``), so with k < N a step
+costs O(k^2 N), not O(N^3):
 
 * ``direct_update``  eigh of the Gram of B: ridge update
   s = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y), with the null
@@ -35,11 +36,11 @@ factor's X^H X come from the smaller of its two Gram matrices
   singular;
 * ``qcqp_solve``     eigh of the Gram of C: tangent-space secular
   equation;
-* ``sdp_dual_solve`` the same secular equation, bracketed by
-  golden-section search on the 1-D concave dual, with a rank-1
+* ``sdp_dual_solve`` the same spectrum and secular equation, bracketed
+  by golden-section search on the 1-D concave dual, with a rank-1
   strong-duality certificate;
-* ``cls_solve``      thin SVD of C: least squares ||C x - d||^2 on the
-  norm ball.
+* ``cls_solve``      thin SVD of C, mu = sig^2: least squares
+  ||C x - d||^2 on the norm ball, with the same secular formulas.
 
 All four agree on the optimum; they differ in the numerical path, which
 is the point of the cross-checks in the test suite. Multipliers are
@@ -87,21 +88,24 @@ def _feasible_radius2(power_bound: float, kappa: float, ny2: float) -> float:
     return max(r2, 0.0)
 
 
-def _gram_eigh(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Eigenpairs of X^H X for a k x n factor X, from its smaller Gram matrix.
+def _gram_eigh(x: np.ndarray, floor: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The eigenpairs of X^H X above `floor` for a k x n factor X, from
+    its smaller Gram matrix; the pairs at or below it are dropped.
 
-    Returns (mu, vecs, left). When k >= n: eigh of X^H X itself, vecs its
-    orthonormal eigenvectors and left None. When k < n: eigh of the k x k
-    X X^H = U diag(mu) U^H, left = U and vecs = X^H U, whose columns are
-    eigenvectors of X^H X with squared norms mu; its other n - k
-    eigenvalues are exactly zero, and X^H z = vecs @ (U^H z) for every z.
+    Returns (mu, vecs, left), vecs orthonormal eigenvectors of X^H X. When
+    k >= n: eigh of X^H X itself, and left None. When k < n: eigh of the
+    k x k X X^H = U diag(mu) U^H, left = U and vecs = X^H U diag(mu)^-1/2;
+    the other n - k eigenvalues of X^H X are exactly zero.
     """
     k, n = x.shape
     if k >= n:
         mu, vecs = np.linalg.eigh(x.conj().T @ x)
-        return mu, vecs, None
+        keep = mu > floor
+        return mu[keep], vecs[:, keep], None
     mu, left = np.linalg.eigh(x @ x.conj().T)
-    return mu, x.conj().T @ left, left
+    keep = mu > floor
+    return mu[keep], (x.conj().T @ left)[:, keep] / np.sqrt(mu[keep]), left[:, keep]
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,11 +116,11 @@ class WaveformProblem:
     gives a PSD F0. Routes build the problem with ``_validated``. The
     derived quantities are computed on first use, so each route pays
     only for what it reads: r^2 raises Infeasible only where the power
-    bound matters, and the eigen-decomposition of M = C^H C = P F0 P (the
-    tangent secular function, point and dual, O(min(k, N)) per
-    evaluation) is formed once, from the smaller Gram matrix of C, for
-    qcqp, sdp or the certificate. ``project`` is the one place the
-    tangent projector P is applied.
+    bound matters, and the spectrum of M = C^H C = P F0 P (the tangent
+    secular function, point and dual, O(min(k, N)) per evaluation) is
+    formed once, from the smaller Gram matrix of C, for qcqp, sdp or the
+    certificate; cls's subclass takes it from the SVD of C instead.
+    ``project`` is the one place the tangent projector P is applied.
     """
 
     factor: np.ndarray
@@ -165,60 +169,63 @@ class WaveformProblem:
         return self.factor.conj().T @ (self.factor @ x)
 
     @cached_property
-    def _spectrum(self) -> tuple[np.ndarray, ...]:
-        """(mu, V, c, abs2, kept): M = C^H C has eigenvalues mu on the
-        columns of V, P V (-c/(mu + gamma)) is the tangent point at
-        multiplier gamma, abs2 = ||V_i||^2 |c_i|^2 are the secular weights
-        and kept marks the eigenvalues above the floor.
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(mu, V, c): the eigenvalues mu of M = C^H C = P F0 P above the
+        floor, orthonormal eigenvectors V and c = -V^H C^H d, so that
+        P V (-c/(mu + gamma)) is the tangent point at multiplier gamma.
 
-        C^H d lies in the range of M, but at or below the floor its weight
-        on an eigenpair cannot be told from rounding (y itself is an exact
-        null vector of P F0 P): those pairs carry none, c_i = 0."""
+        Taken from eigh of the smaller Gram matrix of C. The pairs at or
+        below the floor are dropped: C^H d lies in the range of M, but
+        there its weight cannot be told from rounding (y itself is an
+        exact null vector of P F0 P). So at gamma = 0 every formula below
+        gives the pseudoinverse value, the minimum-norm point's."""
         c_mat, d = self.least_squares
-        mu, vecs, left = _gram_eigh(c_mat)
-        kept = mu > self.floor
+        mu, vecs, left = _gram_eigh(c_mat, self.floor)
         if left is None:
-            chat = np.where(kept, -(vecs.conj().T @ (c_mat.conj().T @ d)), 0.0)
-            abs2 = np.abs(chat) ** 2
-        else:
-            chat = np.where(kept, -(left.conj().T @ d), 0.0)
-            abs2 = mu * np.abs(chat) ** 2
-        return mu, vecs, chat, abs2, kept
+            return mu, vecs, -(vecs.conj().T @ (c_mat.conj().T @ d))
+        return mu, vecs, -np.sqrt(mu) * (left.conj().T @ d)
 
     def secular(self, gamma: float) -> float:
-        """||P q(gamma)||^2 - r^2, decreasing on gamma >= 0.
-
-        At gamma = 0 it takes the pseudoinverse value, the minimum-norm
-        point's, over the eigenvalues above the floor.
-        """
-        mu, _, _, abs2, kept = self._spectrum
-        if gamma != 0.0:
-            return float(np.sum(abs2 / (mu + gamma) ** 2)) - self.r2
-        return float(np.sum(abs2[kept] / mu[kept] ** 2)) - self.r2
+        """||P q(gamma)||^2 - r^2 = sum |c|^2/(mu + gamma)^2 - r^2,
+        decreasing on gamma >= 0."""
+        mu, _, c = self._spectrum
+        return float(np.sum(np.abs(c) ** 2 / (mu + gamma) ** 2)) - self.r2
 
     def secular_derivative(self, gamma: float) -> float:
-        mu, _, _, abs2, _ = self._spectrum
-        return float(-2.0 * np.sum(abs2 / (mu + gamma) ** 3))
+        mu, _, c = self._spectrum
+        return float(-2.0 * np.sum(np.abs(c) ** 2 / (mu + gamma) ** 3))
 
     def root_bound(self) -> float:
         """A multiplier where the secular function is <= 0: from there
         on every mu + gamma >= sqrt(sum|c|^2 / r^2)."""
-        mu, _, _, abs2, _ = self._spectrum
-        return float(np.sqrt(np.sum(abs2) / self.r2)) + max(-float(mu[0]), 0.0)
+        _, _, c = self._spectrum
+        return float(np.sqrt(np.sum(np.abs(c) ** 2) / self.r2))
 
     def tangent_point(self, gamma: float) -> np.ndarray:
-        """s(gamma) = q(gamma) + Capon point, pseudoinverse semantics at 0."""
-        mu, vecs, chat, _, kept = self._spectrum
-        coeff = -chat / (np.where(kept, mu, 1.0) if gamma == 0.0 else mu + gamma)
-        return self.project(vecs @ coeff) + self.center
+        """s(gamma) = P V (-c/(mu + gamma)) + Capon point."""
+        mu, vecs, c = self._spectrum
+        return self.project(vecs @ (-c / (mu + gamma))) + self.center
 
     def dual_value(self, alpha: float) -> float:
         """The concave dual g(alpha) = -alpha r^2 - c^H (M + alpha I)^+ c."""
-        mu, _, _, abs2, kept = self._spectrum
-        if alpha == 0.0:
-            # alpha r^2 vanishes, also where a zero-mode budget is infeasible
-            return -float(np.sum(abs2[kept] / mu[kept]))
-        return -alpha * self.r2 - float(np.sum(abs2 / (mu + alpha)))
+        mu, _, c = self._spectrum
+        value = -float(np.sum(np.abs(c) ** 2 / (mu + alpha)))
+        # alpha r^2 vanishes at 0, also where a zero-mode budget is infeasible
+        return value if alpha == 0.0 else value - alpha * self.r2
+
+
+class _SvdProblem(WaveformProblem):
+    """The cls route's problem: its spectrum comes from the thin SVD
+    C = U diag(sig) V^H, with mu = sig^2 above the floor, V the right
+    singular vectors and c = -sig U^H d."""
+
+    @cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        c_mat, d = self.least_squares
+        u_mat, sig, vh = np.linalg.svd(c_mat, full_matrices=False)
+        keep = sig**2 > self.floor
+        sig = sig[keep]
+        return sig**2, vh[keep].conj().T, -sig * (u_mat[:, keep].conj().T @ d)
 
 
 @dataclass
@@ -243,7 +250,6 @@ class WaveformSolution:
 
     s: np.ndarray
     multiplier: float
-    multiplier_kind: str
     objective: float
     capon_residual: float
     power: float
@@ -252,8 +258,8 @@ class WaveformSolution:
     problem: WaveformProblem | None = None
 
 
-def _make_solution(problem: WaveformProblem, s: np.ndarray, multiplier: float,
-                   kind: str) -> WaveformSolution:
+def _make_solution(problem: WaveformProblem, s: np.ndarray,
+                   multiplier: float) -> WaveformSolution:
     y = problem.steering
     fs = problem.apply_hessian(s)
     v = fs + multiplier * s
@@ -262,7 +268,6 @@ def _make_solution(problem: WaveformProblem, s: np.ndarray, multiplier: float,
     return WaveformSolution(
         s=s,
         multiplier=float(multiplier),
-        multiplier_kind=kind,
         objective=float(np.real(s.conj() @ fs)),
         capon_residual=float(np.abs(s.conj() @ y - problem.kappa)),
         power=float(np.real(s.conj() @ s)),
@@ -271,7 +276,7 @@ def _make_solution(problem: WaveformProblem, s: np.ndarray, multiplier: float,
     )
 
 
-def _solve(problem: WaveformProblem, mode: str, kind: str, point, secular, derivative,
+def _solve(problem: WaveformProblem, mode: str, point, secular, derivative,
            bracket) -> WaveformSolution:
     """The multiplier regime every route shares.
 
@@ -293,11 +298,11 @@ def _solve(problem: WaveformProblem, mode: str, kind: str, point, secular, deriv
     else:
         multiplier = bisect_root(secular, derivative, *bracket())
         s = point(multiplier)
-    return _make_solution(problem, s, multiplier, kind)
+    return _make_solution(problem, s, multiplier)
 
 
 def direct_update(factor, g_map, w, kappa: float, power_bound: float,
-                  lambda_mode: str = "root") -> WaveformSolution:
+                  mode: str = "root") -> WaveformSolution:
     """Ridge-form waveform update with the multiplier found by root finding.
 
     In root mode, lam is the smallest nonnegative value for which
@@ -311,11 +316,7 @@ def direct_update(factor, g_map, w, kappa: float, power_bound: float,
     problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
     y, ny2 = problem.steering, problem.ny2
 
-    evals, evecs, left = _gram_eigh(problem.factor)
-    keep = evals > problem.floor
-    evals, evecs = evals[keep], evecs[:, keep]
-    if left is not None:
-        evecs = evecs / np.sqrt(evals)
+    evals, evecs, _ = _gram_eigh(problem.factor, problem.floor)
     ytilde = evecs.conj().T @ y
     rank = evals.size
     if rank < y.size:
@@ -336,7 +337,7 @@ def direct_update(factor, g_map, w, kappa: float, power_bound: float,
 
     if rank == y.size:
         s0, norm2_0 = ridge(0.0)
-    elif lambda_mode == "zero":
+    elif mode == "zero":
         raise SingularHessian(
             f"zero-multiplier mode needs an invertible Hessian (rank {rank} < N = {y.size})"
         )
@@ -374,11 +375,11 @@ def direct_update(factor, g_map, w, kappa: float, power_bound: float,
         hi = kappa * np.sqrt(max(pf0y2, 0.0) / problem.r2) / ny2
         return 0.0, (hi if hi > 0.0 else 1.0)
 
-    return _solve(problem, lambda_mode, "lambda", point, phi, dphi, bracket)
+    return _solve(problem, mode, point, phi, dphi, bracket)
 
 
 def qcqp_solve(factor, y_w, kappa: float, power_bound: float,
-               gamma_mode: str = "root") -> WaveformSolution:
+               mode: str = "root") -> WaveformSolution:
     """Tangent-space solve with the multiplier from the secular equation.
 
     Returns s = q(gamma*) + kappa*y/||y||^2 where either gamma* = 0 and
@@ -387,7 +388,7 @@ def qcqp_solve(factor, y_w, kappa: float, power_bound: float,
     power bound entirely.
     """
     problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
-    return _solve(problem, gamma_mode, "gamma", problem.tangent_point, problem.secular,
+    return _solve(problem, mode, problem.tangent_point, problem.secular,
                   problem.secular_derivative, lambda: (0.0, problem.root_bound()))
 
 
@@ -431,7 +432,7 @@ def sdp_dual_solve(factor, y_w, kappa: float, power_bound: float,
         # rounding on the dual's flat top can move the interval past the root
         return (lo if problem.secular(lo) > 0.0 else 0.0), hi
 
-    solution = _solve(problem, mode, "alpha", problem.tangent_point, problem.secular,
+    solution = _solve(problem, mode, problem.tangent_point, problem.secular,
                       problem.secular_derivative, bracket)
     if not np.isfinite(solution.objective):
         raise NumericalFailure("dual route produced a non-finite objective")
@@ -481,35 +482,13 @@ def cls_solve(factor, y_w, kappa: float, power_bound: float,
     d = -(kappa/||y||^2) B y, the tangent problem is exactly
     min ||C x - d||^2 subject to ||P x||^2 <= r^2, s = P x + Capon point:
     the minimum-norm LS solution if it fits the radius, otherwise the
-    secular equation in the multiplier, diagonalized by the thin SVD
-    of C, whose right singular vectors above the floor lie in the range
-    of P.
+    secular equation in the multiplier. The thin SVD of C diagonalizes
+    both: its squared singular values above the floor are the spectrum,
+    and the problem's own secular formulas run on it.
     """
-    problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
-    c_mat, d = problem.least_squares
-    u_mat, sig, vh = np.linalg.svd(c_mat, full_matrices=False)
-    dhat = u_mat.conj().T @ d
-    # the rank floor is on sig^2, the eigenvalues of P F0 P, as in the tangent routes
-    kept = sig**2 > problem.floor
-    weights = (sig * np.abs(dhat)) ** 2
-
-    def point(mu: float) -> np.ndarray:
-        if mu == 0.0:
-            coeff = np.where(kept, dhat / np.where(kept, sig, 1.0), 0.0)
-        else:
-            coeff = sig * dhat / (sig**2 + mu)
-        return problem.project(vh.conj().T @ coeff) + problem.center
-
-    def psi(mu: float) -> float:
-        if mu == 0.0:
-            return float(np.sum((np.abs(dhat[kept]) / sig[kept]) ** 2)) - problem.r2
-        return float(np.sum(weights / (sig**2 + mu) ** 2)) - problem.r2
-
-    def dpsi(mu: float) -> float:
-        return float(-2.0 * np.sum(weights / (sig**2 + mu) ** 3))
-
-    return _solve(problem, mode, "gamma", point, psi, dpsi,
-                  lambda: (0.0, float(np.sqrt(np.sum(weights) / problem.r2))))
+    problem = _SvdProblem._validated(factor, y_w, kappa, power_bound)
+    return _solve(problem, mode, problem.tangent_point, problem.secular,
+                  problem.secular_derivative, lambda: (0.0, problem.root_bound()))
 
 
 def scale_solution(w, s, power_bound: float) -> tuple[np.ndarray, np.ndarray]:

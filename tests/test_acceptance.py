@@ -51,13 +51,16 @@ NEAR_SINGULAR_GEOMETRIES = {
     "dense-clutter": lambda cfg: dataclasses.replace(
         cfg, clutter=dataclasses.replace(cfg.clutter, patches=200)),
     "wide-aperture": lambda cfg: dataclasses.replace(cfg, M=8, N=16, L=10),
+    "demo": lambda cfg: cfg,
 }
 
 
 @pytest.mark.parametrize("geometry, seed, trial", [
     *(pytest.param("dense-clutter", seed, trial, id=f"{seed}-{trial}")
       for seed, trial in ((0, 4), (0, 6), (0, 7), (7, 3), (11, 9))),
-    pytest.param("wide-aperture", 0, 0, id="wide-aperture-0-0")])
+    pytest.param("wide-aperture", 0, 0, id="wide-aperture-0-0"),
+    *(pytest.param("demo", seed, trial, id=f"demo-{seed}-{trial}")
+      for seed, trial in ((0, 20), (7, 25)))])
 def test_four_routes_agree_where_f0_is_near_singular(default_cfg, geometry, seed, trial):
     """Criterion 1 from benchmark starts along which F0 is near-singular.
 
@@ -68,7 +71,10 @@ def test_four_routes_agree_where_f0_is_near_singular(default_cfg, geometry, seed
     follows the rounding away from the other three. At the wide-aperture
     geometry (MNL = 1280), seed 0, trial 0, every route meets the power
     bound at a multiplier of about 3e-10 on iteration 9, a near-tie
-    between the interior and the active branch."""
+    between the interior and the active branch. At the demo geometry,
+    seed 0 trial 20 and seed 7 trial 25, the smallest eigenvalue of
+    P F0 P above the floor is a few 1e-8 of the largest, and the routes'
+    rounding differences grow as its inverse."""
     cfg = NEAR_SINGULAR_GEOMETRIES[geometry](default_cfg)
     s0 = _trial_waveform(cfg, seed, trial)
     objs = np.array([cs.run(cfg, solver, max_iter=20, rescale=True,

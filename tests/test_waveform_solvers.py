@@ -131,7 +131,7 @@ class TestDirectUpdate:
         y = random_complex(rng, 6)
         y *= np.sqrt(2.0) / np.linalg.norm(y)
         root = cs.direct_update(b, np.eye(6), y, 1.0, 2.0)
-        zero = cs.direct_update(b, np.eye(6), y, 1.0, 2.0, lambda_mode="zero")
+        zero = cs.direct_update(b, np.eye(6), y, 1.0, 2.0, mode="zero")
         assert np.array_equal(root.s, zero.s)
 
     def test_zero_mode_singular_hessian(self):
@@ -139,7 +139,7 @@ class TestDirectUpdate:
         b = random_complex(rng, 2, 5).conj()  # rank-2 Hessian in dimension 5
         y = random_complex(rng, 5)
         with pytest.raises(cs.SingularHessian):
-            cs.direct_update(b, np.eye(5), y, 1.0, 1.0, lambda_mode="zero")
+            cs.direct_update(b, np.eye(5), y, 1.0, 1.0, mode="zero")
 
     def test_singular_hessian_root_mode_zero_objective(self):
         # y couples to the null space: the update reaches objective 0
@@ -260,20 +260,32 @@ class TestSecularResidual:
             assert b <= a + 1e-12
 
     def test_matches_pseudoinverse_formula(self):
-        # literal A(gamma) = (P F P + gamma P)^+ P F evaluation
+        # literal A(gamma) = (P F P + gamma P)^+ P F evaluation, on three spectra:
+        # a full-rank factor (Gram of C^H C), a rank-2 factor with 3 < N rows
+        # (Gram of C C^H, itself singular; P F0 P has zero eigenvalues besides
+        # y's), and cls's spectrum from the SVD of C
         rng = np.random.default_rng(13)
         b, y, kappa, p_o = random_instance(rng, 5)
-        f0 = gram(b)
+        b_low = random_complex(rng, 3, 2) @ random_complex(rng, 2, 5)
+        problems = [WaveformProblem._validated(b, y, kappa, p_o),
+                    WaveformProblem._validated(b_low, y, kappa, p_o),
+                    cs.cls_solve(b, y, kappa, p_o).problem]
         n = y.size
         ny2 = float(np.real(y.conj() @ y))
         pperp = np.eye(n) - np.outer(y, y.conj()) / ny2
-        problem = WaveformProblem._validated(b, y, kappa, p_o)
-        for gamma in (0.0, 0.3, 2.7):
-            a_mat = np.linalg.pinv(pperp @ f0 @ pperp + gamma * pperp, rcond=TAU_RANK) @ (pperp @ f0)
-            q = -(kappa / ny2) * (a_mat @ y)
-            phi = float(np.real(q.conj() @ (pperp @ q))) - (p_o - kappa**2 / ny2)
-            lib = problem.secular(gamma)
-            assert abs(lib - phi) <= 1e-10 * max(1.0, abs(phi))
+        for problem in problems:
+            f0 = gram(problem.factor)
+            m = pperp @ f0 @ pperp
+            for gamma in (0.0, 0.3, 2.7):
+                a_mat = np.linalg.pinv(m + gamma * pperp, rcond=TAU_RANK) @ (pperp @ f0)
+                q = -(kappa / ny2) * (a_mat @ y)
+                phi = float(np.real(q.conj() @ (pperp @ q))) - (p_o - kappa**2 / ny2)
+                lib = problem.secular(gamma)
+                assert abs(lib - phi) <= 1e-10 * max(1.0, abs(phi))
+            # dual at 0: -c^H M^+ c with c = (kappa/||y||^2) P F0 y
+            c = (kappa / ny2) * (pperp @ (f0 @ y))
+            dual0 = -float(np.real(c.conj() @ (np.linalg.pinv(m, rcond=TAU_RANK) @ c)))
+            assert abs(problem.dual_value(0.0) - dual0) <= 1e-10 * max(1.0, abs(dual0))
 
 
 class TestSdpDualSolve:
@@ -350,8 +362,7 @@ class TestSdpCertificate:
             assert abs(cert.primal_value - reduced) <= 1e-10 * max(1.0, abs(reduced))
 
     def test_requires_problem_data(self):
-        sol = cs.WaveformSolution(s=np.ones(2, dtype=complex), multiplier=0.0,
-                                  multiplier_kind="gamma", objective=0.0,
+        sol = cs.WaveformSolution(s=np.ones(2, dtype=complex), multiplier=0.0, objective=0.0,
                                   capon_residual=0.0, power=1.0, kkt_residual=0.0)
         with pytest.raises(ValueError):
             cs.sdp_certificate(sol)
@@ -480,10 +491,10 @@ class TestZeroModes:
         b = random_factor(rng, 6, eig_lo=0.5, eig_hi=2.0)
         y = random_complex(rng, 6)
         kappa, p_o = 1.0, 0.01  # budget far below the Capon point: ignored
-        qc = cs.qcqp_solve(b, y, kappa, p_o, gamma_mode="zero")
+        qc = cs.qcqp_solve(b, y, kappa, p_o, mode="zero")
         sd = cs.sdp_dual_solve(b, y, kappa, p_o, mode="zero")
         cl = cs.cls_solve(b, y, kappa, p_o, mode="zero")
-        di = cs.direct_update(b, np.eye(6), y, kappa, p_o, lambda_mode="zero")
+        di = cs.direct_update(b, np.eye(6), y, kappa, p_o, mode="zero")
         ref = align_phase(di.s, y)
         for sol in (qc, sd, cl):
             assert sol.multiplier == 0.0
@@ -538,8 +549,8 @@ class TestLongCodeGeometry:
 
 ROUTES_BY_MODE = {
     "am-direct": lambda b, y, kappa, p_o, mode:
-        cs.direct_update(b, np.eye(y.size), y, kappa, p_o, lambda_mode=mode),
-    "qcqp": lambda b, y, kappa, p_o, mode: cs.qcqp_solve(b, y, kappa, p_o, gamma_mode=mode),
+        cs.direct_update(b, np.eye(y.size), y, kappa, p_o, mode=mode),
+    "qcqp": lambda b, y, kappa, p_o, mode: cs.qcqp_solve(b, y, kappa, p_o, mode=mode),
     "sdp": lambda b, y, kappa, p_o, mode: cs.sdp_dual_solve(b, y, kappa, p_o, mode=mode),
     "cls": lambda b, y, kappa, p_o, mode: cs.cls_solve(b, y, kappa, p_o, mode=mode),
 }

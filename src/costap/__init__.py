@@ -25,7 +25,6 @@ from .errors import (
     NumericalFailure,
     ParseError,
     SingularCovariance,
-    SingularHessian,
     ValidationError,
     ZeroSteering,
     ZeroWaveform,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CostapError, Infeasible, ValidationError, ZeroSteering
+from .errors import CostapError, Infeasible, ValidationError, ZeroSteering, check_int
 from .matrix_ops import TAU_ZERO, _as_complex
 from .radar_model import CovarianceBundle, ScenarioConfig, build_bundle, total_cov
 from .receiver import mvdr_update
@@ -124,11 +124,11 @@ def initial_waveform(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def check_run_args(solver: str, max_iter: int, lambda_mode: str) -> None:
-    """Reject an unknown solver or multiplier mode or a negative iteration count."""
+    """Reject an unknown solver or multiplier mode or an iteration count
+    that is not an integer >= 0."""
     if solver not in SOLVERS:
         raise ValidationError("solver", f"unknown solver {solver!r}; expected one of {SOLVERS}")
-    if max_iter < 0:
-        raise ValidationError("max_iter", f"must be >= 0, got {max_iter}")
+    check_int("max_iter", max_iter, 0)
     if lambda_mode not in LAMBDA_MODES:
         raise ValidationError("lambda_mode",
                               f"unknown mode {lambda_mode!r}; expected one of {LAMBDA_MODES}")

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and its one integer rule."""
+
+from numbers import Integral
 
 
 class CostapError(Exception):
@@ -11,6 +13,13 @@ class ValidationError(CostapError, ValueError):
     def __init__(self, field: str, problem: str):
         self.field = field
         super().__init__(f"{field}: {problem}")
+
+
+def check_int(field: str, value, minimum: int) -> None:
+    """Raise ValidationError naming `field` unless `value` is an integer
+    (a bool is not) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < minimum:
+        raise ValidationError(field, f"must be an integer >= {minimum}, got {value!r}")
 
 
 class ParseError(CostapError, ValueError):
@@ -40,10 +49,6 @@ class SingularCovariance(NumericalError):
 
 class ZeroSteering(NumericalError):
     """Effective steering vector (G s or G^H w) is numerically zero."""
-
-
-class SingularHessian(NumericalError):
-    """Zero-multiplier mode requested with a singular waveform Hessian."""
 
 
 class Infeasible(NumericalError):

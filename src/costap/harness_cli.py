@@ -50,7 +50,7 @@ from .am_driver import (
     draw_waveform,
     run,
 )
-from .errors import CostapError, ParseError, ValidationError
+from .errors import CostapError, ParseError, ValidationError, check_int
 from .radar_model import FILE_PATHS, ScenarioConfig
 
 # trace column -> IterateRecord attribute, in file order
@@ -78,8 +78,8 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("trials", f"must be >= 1, got {self.trials}")
+        check_int("trials", self.trials, 1)
+        check_int("seed", self.seed, 0)
         if not self.solvers:
             raise ValidationError("solvers", "must be nonempty")
         for solver in self.solvers:
@@ -187,7 +187,7 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
 def _splitmix64(seed: int, index: int) -> int:
     """Independent per-trial seed stream (splitmix64 finalizer)."""
     mask = (1 << 64) - 1
-    z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = (int(seed) + (index + 1) * 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     return (z ^ (z >> 31)) & mask

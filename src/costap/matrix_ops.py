@@ -28,7 +28,7 @@ TAU_ZERO = 1e-14
 
 def _as_complex(a) -> np.ndarray:
     out = np.asarray(a, dtype=np.complex128)
-    if not (np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))):
+    if not np.isfinite(out).all():
         raise NumericalFailure("non-finite entries in matrix/vector input")
     return out
 

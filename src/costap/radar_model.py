@@ -32,7 +32,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import zherk
 from scipy.linalg.lapack import zpttrf, zpttrs
 
-from .errors import SingularCovariance, ValidationError
+from .errors import SingularCovariance, ValidationError, check_int
 
 
 @dataclass(frozen=True)
@@ -91,12 +91,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in ("M", "N", "L"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValidationError(FILE_PATHS[name], f"must be an integer >= 1, got {v!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValidationError("seed", f"must be an integer >= 0, got {seed!r}")
+            check_int(FILE_PATHS[name], getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
         for label, value in self._real_fields():
             if not np.isfinite(value):
                 raise ValidationError(label, f"must be finite, got {value!r}")

@@ -22,7 +22,7 @@ def mvdr_update(r_u, g_map, s, kappa: float) -> np.ndarray:
     if float(np.linalg.norm(g)) <= TAU_ZERO:
         raise ZeroSteering("G s is numerically zero")
     x = r_u.solve(g)
-    if not np.all(np.isfinite(x.real)) or not np.all(np.isfinite(x.imag)):
+    if not np.isfinite(x).all():
         raise SingularCovariance("covariance solve produced non-finite weights")
     denom = float(np.real(g.conj() @ x))
     if denom <= 0.0:

@@ -55,13 +55,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    Infeasible,
-    NumericalFailure,
-    SingularHessian,
-    ZeroSteering,
-    ZeroWaveform,
-)
+from .errors import Infeasible, NumericalFailure, ZeroSteering, ZeroWaveform
 from .matrix_ops import TAU_RANK, TAU_ZERO, _as_complex, bisect_root
 # No route uses it; the benchmark still traces it here until its contract
 # drops it (ROADMAP item 1).
@@ -232,12 +226,10 @@ class _SvdProblem(WaveformProblem):
 class DualCertificate:
     """Strong-duality evidence attached to an SDP-route solution."""
 
-    alpha: float
-    beta: float
     dual_value: float
     primal_value: float
     gap: float
-    constraint_value: float = 0.0
+    constraint_value: float
 
 
 @dataclass(eq=False)
@@ -254,8 +246,8 @@ class WaveformSolution:
     capon_residual: float
     power: float
     kkt_residual: float
+    problem: WaveformProblem
     certificate: DualCertificate | None = None
-    problem: WaveformProblem | None = None
 
 
 def _make_solution(problem: WaveformProblem, s: np.ndarray,
@@ -309,8 +301,10 @@ def direct_update(factor, g_map, w, kappa: float, power_bound: float,
     s(lam) = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y), F0 = B^H B
     for the clutter factor B, meets the power bound; lam = 0 is returned
     exactly (same code path as zero mode) whenever the unconstrained
-    update is already feasible. Zero mode requires an invertible F0 and
-    never enforces the bound.
+    update is already feasible. Zero mode takes that same lam = 0 point
+    at any rank of F0 and never enforces the bound: for a singular F0 it
+    is the limit of s(lam) as lam -> 0, the null-space point or the
+    minimum-norm point.
     """
     y_w = _as_complex(g_map).conj().T @ _as_complex(w).reshape(-1)
     problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
@@ -337,10 +331,6 @@ def direct_update(factor, g_map, w, kappa: float, power_bound: float,
 
     if rank == y.size:
         s0, norm2_0 = ridge(0.0)
-    elif mode == "zero":
-        raise SingularHessian(
-            f"zero-multiplier mode needs an invertible Hessian (rank {rank} < N = {y.size})"
-        )
     else:
         a_null, a_range = float(abs2[0]), float(np.sum(abs2[1:]))
         # y's null part n is the tangent direction P n, with Rayleigh quotient
@@ -454,19 +444,14 @@ def sdp_certificate(solution: WaveformSolution) -> DualCertificate:
     solution's multiplier from the problem's eigen-decomposition; the
     gap is primal minus dual.
     """
-    if solution.problem is None:
-        raise ValueError("solution carries no problem data to certify")
     prob = solution.problem
     q = prob.project(solution.s - prob.center)
     fq = prob.apply_hessian(q)
     primal = (float(np.real(q.conj() @ fq))
               + 2.0 * (prob.kappa / prob.ny2) * float(np.real(fq.conj() @ prob.steering)))
 
-    alpha = solution.multiplier
-    dual = prob.dual_value(alpha)
+    dual = prob.dual_value(solution.multiplier)
     return DualCertificate(
-        alpha=alpha,
-        beta=dual + alpha * prob.r2 if alpha > 0.0 else dual,
         dual_value=dual,
         primal_value=primal,
         gap=primal - dual,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import costap as cs
+from costap import am_driver
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +32,13 @@ def small_bundle(small_cfg):
 @pytest.fixture(scope="session")
 def default_bundle(default_cfg):
     return cs.build_bundle(default_cfg)
+
+
+@pytest.fixture
+def failing_direct(monkeypatch):
+    """am-direct raises NumericalFailure on every waveform step. A stand-in:
+    no real input is known on which one route fails and the others do not."""
+    def fail(*args, **kwargs):
+        raise cs.NumericalFailure("stand-in route failure")
+
+    monkeypatch.setattr(am_driver, "direct_update", fail)

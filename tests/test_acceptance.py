@@ -47,10 +47,12 @@ def test_criterion_01_four_way_equivalence(four_solver_runs):
                  f"rel (<= 1e-6), runtime {elapsed:.1f}s")
 
 
-NEAR_SINGULAR_GEOMETRIES = {
+# The benchmark's workload geometries, each derived from the demo.
+GEOMETRIES = {
     "dense-clutter": lambda cfg: dataclasses.replace(
         cfg, clutter=dataclasses.replace(cfg.clutter, patches=200)),
     "wide-aperture": lambda cfg: dataclasses.replace(cfg, M=8, N=16, L=10),
+    "long-code": lambda cfg: dataclasses.replace(cfg, M=1, N=128, L=2, power=1e-3),
     "demo": lambda cfg: cfg,
 }
 
@@ -75,13 +77,30 @@ def test_four_routes_agree_where_f0_is_near_singular(default_cfg, geometry, seed
     seed 0 trial 20 and seed 7 trial 25, the smallest eigenvalue of
     P F0 P above the floor is a few 1e-8 of the largest, and the routes'
     rounding differences grow as its inverse."""
-    cfg = NEAR_SINGULAR_GEOMETRIES[geometry](default_cfg)
+    cfg = GEOMETRIES[geometry](default_cfg)
     s0 = _trial_waveform(cfg, seed, trial)
     objs = np.array([cs.run(cfg, solver, max_iter=20, rescale=True,
                             init_waveform=s0).trace.objectives()
                      for solver in cs.SOLVERS])
     spread = (objs.max(axis=0) - objs.min(axis=0)) / objs.min(axis=0)
     assert np.max(spread) <= 1e-6, spread
+
+
+@pytest.mark.parametrize("geometry, seed, trials", [
+    *((geometry, 11, 2) for geometry in GEOMETRIES), ("wide-aperture", 0, 1)])
+def test_four_routes_agree_in_zero_mode(default_cfg, geometry, seed, trials):
+    """Criterion 1 with the multiplier pinned to 0. F0 is singular on
+    every geometry here (rank 6 of N = 8 on the demo and dense-clutter,
+    6 of 16 on wide-aperture, 2 of 128 on long-code), and am-direct takes
+    its lam -> 0 point, the one root mode takes when the bound is slack."""
+    spec = cs.ExperimentSpec(scenario=GEOMETRIES[geometry](default_cfg), solvers=cs.SOLVERS,
+                             lambda_mode="zero", trials=trials, max_iter=20, seed=seed)
+    traces, table = cs.run_comparison(spec)
+    assert not table.failures
+    for trial in range(trials):
+        objs = np.array([traces[solver][trial].objectives() for solver in cs.SOLVERS])
+        spread = (objs.max(axis=0) - objs.min(axis=0)) / objs.min(axis=0)
+        assert np.max(spread) <= 1e-6, (trial, spread)
 
 
 def test_criterion_02_monotone_descent(four_solver_runs):

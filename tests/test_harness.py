@@ -73,6 +73,8 @@ class TestTrialSeeding:
         vals = [_splitmix64(1729, t) for t in range(100)]
         assert vals == [_splitmix64(1729, t) for t in range(100)]
         assert len(set(vals)) == 100
+        # a NumPy integer seed, which ExperimentSpec accepts, gives the same stream
+        assert vals == [_splitmix64(np.int64(1729), t) for t in range(100)]
 
     def test_trial_waveforms_interior_and_reproducible(self, small_cfg):
         s0 = _trial_waveform(small_cfg, 42, 3)
@@ -117,11 +119,8 @@ class TestRunComparison:
         labels = [r.algorithm for r in table.rows]
         assert labels == ["qcqp[root]", "qcqp[root]+rescaled"]
 
-    def test_failed_cells_recorded(self, small_cfg):
-        # zero-mode am-direct fails on a rank-deficient Hessian
-        cfg = dataclasses.replace(
-            small_cfg, clutter=dataclasses.replace(small_cfg.clutter, patches=2))
-        spec = cs.ExperimentSpec(scenario=cfg, solvers=("am-direct", "qcqp"),
+    def test_failed_cells_recorded(self, small_cfg, failing_direct):
+        spec = cs.ExperimentSpec(scenario=small_cfg, solvers=("am-direct", "qcqp"),
                                  lambda_mode="zero", trials=1, max_iter=2, seed=5)
         traces, table = cs.run_comparison(spec)
         assert traces["am-direct"][0] is None
@@ -136,7 +135,12 @@ class TestRunComparison:
             cs.ExperimentSpec(scenario=small_cfg, solvers=())
         for kwargs, field in (({"solvers": ("qcqp", "newton")}, "solver"),
                               ({"max_iter": -1}, "max_iter"),
-                              ({"lambda_mode": "bogus"}, "lambda_mode")):
+                              ({"max_iter": 2.5}, "max_iter"),
+                              ({"lambda_mode": "bogus"}, "lambda_mode"),
+                              ({"trials": 1.5}, "trials"),
+                              ({"trials": True}, "trials"),
+                              ({"seed": -1}, "seed"),
+                              ({"seed": 1.5}, "seed")):
             with pytest.raises(cs.ValidationError) as err:
                 cs.ExperimentSpec(scenario=small_cfg, **{"solvers": ("qcqp",), **kwargs})
             assert err.value.field == field
@@ -219,11 +223,9 @@ class TestEmitTable:
         assert doc["rows"][0]["algorithm"] == "qcqp[root]"
         assert doc["rows"][0]["trials"] == 1
 
-    def test_failed_solver_json_table_parses(self, small_cfg, tmp_path):
+    def test_failed_solver_json_table_parses(self, small_cfg, tmp_path, failing_direct):
         # the spec of test_failed_cells_recorded: am-direct fails, its mean is NaN
-        cfg = dataclasses.replace(
-            small_cfg, clutter=dataclasses.replace(small_cfg.clutter, patches=2))
-        spec = cs.ExperimentSpec(scenario=cfg, solvers=("am-direct", "qcqp"),
+        spec = cs.ExperimentSpec(scenario=small_cfg, solvers=("am-direct", "qcqp"),
                                  lambda_mode="zero", trials=1, max_iter=2, seed=5)
         _, table = cs.run_comparison(spec)
         path = tmp_path / "table.json"
@@ -450,7 +452,7 @@ class TestCli:
         assert cs.main(["compare", "--iters", "0", "--seed", "-1"]) == 2
         assert "error: seed:" in capsys.readouterr().err
 
-    def test_numerical_error_exit_code(self, tmp_path):
+    def test_numerical_error_exit_code(self, tmp_path, failing_direct):
         scenario = {
             "dims": {"M": 2, "N": 3, "L": 2},
             "target": {"azimuth": 0.2, "elevation": 0.7, "doppler": -0.15},

@@ -406,6 +406,12 @@ class TestScenarioValidation:
     def test_bad_dims(self):
         with pytest.raises(cs.ValidationError, match="dims.M"):
             cs.ScenarioConfig(M=0, N=2, L=2, target=cs.TargetSpec(0, 0, 0), seed=0)
+        # a bool is not an integer dimension, nor is a whole float
+        for name, value in (("M", True), ("N", True), ("L", True), ("N", 2.0)):
+            dims = {"M": 2, "N": 2, "L": 2, name: value}
+            with pytest.raises(cs.ValidationError) as err:
+                cs.ScenarioConfig(**dims, target=cs.TargetSpec(0, 0, 0), seed=0)
+            assert err.value.field == f"dims.{name}"
 
     def test_bad_span(self, small_cfg):
         with pytest.raises(cs.ValidationError, match="azimuth_span"):

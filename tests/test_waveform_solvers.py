@@ -135,11 +135,14 @@ class TestDirectUpdate:
         assert np.array_equal(root.s, zero.s)
 
     def test_zero_mode_singular_hessian(self):
+        # zero mode takes root mode's lam = 0 point at any rank of F0
         rng = np.random.default_rng(4)
         b = random_complex(rng, 2, 5).conj()  # rank-2 Hessian in dimension 5
         y = random_complex(rng, 5)
-        with pytest.raises(cs.SingularHessian):
-            cs.direct_update(b, np.eye(5), y, 1.0, 1.0, mode="zero")
+        zero = cs.direct_update(b, np.eye(5), y, 1.0, 1.0, mode="zero")
+        root = cs.direct_update(b, np.eye(5), y, 1.0, 2.0 * zero.power)
+        assert zero.multiplier == 0.0 and root.multiplier == 0.0
+        assert np.array_equal(root.s, zero.s)
 
     def test_singular_hessian_root_mode_zero_objective(self):
         # y couples to the null space: the update reaches objective 0
@@ -213,8 +216,12 @@ class TestQcqpSolve:
         for factor in (np.ones(3), np.ones((3, 2)), np.ones((2, 3, 1))):
             with pytest.raises(ValueError):
                 cs.qcqp_solve(factor, y, 1.0, 1.0)
-        with pytest.raises(cs.NumericalFailure):
-            cs.qcqp_solve(np.array([[1.0, np.inf, 0.0]]), y, 1.0, 1.0)
+        # a non-finite imaginary part alone must be caught too
+        for bad in (np.inf, complex(1.0, np.inf), complex(0.0, np.nan)):
+            with pytest.raises(cs.NumericalFailure):
+                cs.qcqp_solve(np.array([[1.0, bad, 0.0]]), y, 1.0, 1.0)
+            with pytest.raises(cs.NumericalFailure):
+                cs.qcqp_solve(np.eye(3), np.array([1.0, bad, 0.0]), 1.0, 1.0)
 
     def test_matches_projected_gradient_bruteforce(self):
         rng = np.random.default_rng(9)
@@ -361,12 +368,6 @@ class TestSdpCertificate:
             reduced = sol.objective - const
             assert abs(cert.primal_value - reduced) <= 1e-10 * max(1.0, abs(reduced))
 
-    def test_requires_problem_data(self):
-        sol = cs.WaveformSolution(s=np.ones(2, dtype=complex), multiplier=0.0, objective=0.0,
-                                  capon_residual=0.0, power=1.0, kkt_residual=0.0)
-        with pytest.raises(ValueError):
-            cs.sdp_certificate(sol)
-
 
 class TestClsSolve:
     def test_identity_hessian_center_solution(self):
@@ -487,19 +488,23 @@ class TestFourWayEquivalence:
 
 class TestZeroModes:
     def test_zero_modes_share_the_hyperplane_minimum(self):
+        # an invertible F0, then a 3 x 6 factor: F0 of rank 3, y partly in
+        # its null space, where every route takes the minimum-norm point
         rng = np.random.default_rng(32)
-        b = random_factor(rng, 6, eig_lo=0.5, eig_hi=2.0)
+        full = random_factor(rng, 6, eig_lo=0.5, eig_hi=2.0)
         y = random_complex(rng, 6)
+        short = random_complex(rng, 3, 6)
         kappa, p_o = 1.0, 0.01  # budget far below the Capon point: ignored
-        qc = cs.qcqp_solve(b, y, kappa, p_o, mode="zero")
-        sd = cs.sdp_dual_solve(b, y, kappa, p_o, mode="zero")
-        cl = cs.cls_solve(b, y, kappa, p_o, mode="zero")
-        di = cs.direct_update(b, np.eye(6), y, kappa, p_o, mode="zero")
-        ref = align_phase(di.s, y)
-        for sol in (qc, sd, cl):
-            assert sol.multiplier == 0.0
-            assert np.linalg.norm(align_phase(sol.s, y) - ref) <= 1e-8
-        assert qc.capon_residual <= 1e-8
+        for b in (full, short):
+            qc = cs.qcqp_solve(b, y, kappa, p_o, mode="zero")
+            sd = cs.sdp_dual_solve(b, y, kappa, p_o, mode="zero")
+            cl = cs.cls_solve(b, y, kappa, p_o, mode="zero")
+            di = cs.direct_update(b, np.eye(6), y, kappa, p_o, mode="zero")
+            ref = align_phase(di.s, y)
+            for sol in (qc, sd, cl):
+                assert sol.multiplier == 0.0
+                assert np.linalg.norm(align_phase(sol.s, y) - ref) <= 1e-8
+            assert qc.capon_residual <= 1e-8 and di.capon_residual <= 1e-8
 
 
 @pytest.fixture(scope="module")

@@ -11,36 +11,38 @@ the complement of y, reduces it to least squares on a ball:
 
     min_x  ||C x - d||^2   s.t.  ||P x||^2 <= r^2 := P_o - kappa^2/||y||^2
 
-with C = B P, a rank-one update of B, and d = -(kappa/||y||^2) B y. One
-``WaveformProblem`` per solve holds what every route shares: the
-validated inputs, the Capon point kappa*y/||y||^2, the projector P,
-r^2, (C, d) and one rank floor, TAU_RANK * tr F0. Each route
-decomposes once and drops the eigenpairs (or singular triplets) at or
-below the floor there, so near-singular F0 gives all four the same
-point, the minimum-norm minimizer. The three tangent routes share one
-spectrum form, (mu, V, c) with M = C^H C = P F0 P ~ V diag(mu) V^H over
-the pairs above the floor, and from it one secular function,
-derivative, bracket, point and dual; they differ only in how they
-decompose C. One multiplier regime is shared too (``_solve``): zero
-mode takes the point at multiplier 0 and ignores the bound; root mode
-returns the Capon point when r^2 = 0, the point at multiplier 0 when it
-fits, and otherwise the root of the route's decreasing secular function
-from the one safeguarded Newton-bisection solver, ``bisect_root``, which
-stops at float resolution. Eigenpairs of a factor's X^H X come from the
+with C = B P, a rank-one update of B, and d = -(kappa/||y||^2) B y.
+
+Each route builds one ``WaveformProblem``, which holds what all four
+share (the validated inputs, the Capon point kappa*y/||y||^2, the
+projector P, r^2, (C, d) and one rank floor, TAU_RANK * tr F0) and
+answers four questions in the route's own form of the step:
+
+* ``point(x)``: the waveform at multiplier x;
+* ``secular(x)``: ||point(x)||^2 - P_o in exact arithmetic, decreasing;
+* ``secular_derivative(x)``: its derivative;
+* ``bracket()``: (lo, hi) for the root, with secular(lo) > 0.
+
+``_solve(problem, mode)`` is the one multiplier regime: zero mode takes
+point(0) and ignores the bound; root mode takes the Capon point when
+r^2 = 0, point(0) when it fits, and otherwise the point at the root
+from the one safeguarded Newton-bisection solver, ``bisect_root``,
+which stops at float resolution. Each problem decomposes once and
+drops the eigenpairs (or singular triplets) at or below the floor
+there, so near-singular F0 gives all four the same point, the
+minimum-norm minimizer. Eigenpairs of a factor's X^H X come from the
 smaller of its two Gram matrices (``_gram_eigh``), so with k < N a step
 costs O(k^2 N), not O(N^3):
 
-* ``direct_update``  eigh of the Gram of B: ridge update
-  s = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y), with the null
-  space of F0 explicit (the part of y outside its range) when F0 is
-  singular;
-* ``qcqp_solve``     eigh of the Gram of C: tangent-space secular
-  equation;
-* ``sdp_dual_solve`` the same spectrum and secular equation, bracketed
-  by golden-section search on the 1-D concave dual, with a rank-1
+* ``direct_update``  ``_RidgeProblem``, eigh of the Gram of B: ridge
+  update, with the null space of F0 explicit when F0 is singular;
+* ``qcqp_solve``     ``WaveformProblem``, eigh of the Gram of C:
+  tangent-space secular equation;
+* ``sdp_dual_solve`` ``_DualProblem``: the same, bracketed by
+  golden-section search on the 1-D concave dual, with a rank-1
   strong-duality certificate;
-* ``cls_solve``      thin SVD of C, mu = sig^2: least squares
-  ||C x - d||^2 on the norm ball, with the same secular formulas.
+* ``cls_solve``      ``_SvdProblem``, thin SVD of C, mu = sig^2: least
+  squares ||C x - d||^2 on the norm ball, with the same secular formulas.
 
 All four agree on the optimum; they differ in the numerical path, which
 is the point of the cross-checks in the test suite. Multipliers are
@@ -112,9 +114,10 @@ class WaveformProblem:
     only for what it reads: r^2 raises Infeasible only where the power
     bound matters, and the spectrum of M = C^H C = P F0 P (the tangent
     secular function, point and dual, O(min(k, N)) per evaluation) is
-    formed once, from the smaller Gram matrix of C, for qcqp, sdp or the
-    certificate; cls's subclass takes it from the SVD of C instead.
-    ``project`` is the one place the tangent projector P is applied.
+    formed once, from the smaller Gram matrix of C. This class is qcqp's
+    problem; the subclasses change the decomposition (cls), the bracket
+    (sdp) or the whole form of the step (am-direct). ``project`` is the
+    one place the tangent projector P is applied.
     """
 
     factor: np.ndarray
@@ -189,13 +192,13 @@ class WaveformProblem:
         mu, _, c = self._spectrum
         return float(-2.0 * np.sum(np.abs(c) ** 2 / (mu + gamma) ** 3))
 
-    def root_bound(self) -> float:
-        """A multiplier where the secular function is <= 0: from there
-        on every mu + gamma >= sqrt(sum|c|^2 / r^2)."""
+    def bracket(self) -> tuple[float, float]:
+        """(0, a multiplier where the secular function is <= 0): from
+        there on every mu + gamma >= sqrt(sum|c|^2 / r^2)."""
         _, _, c = self._spectrum
-        return float(np.sqrt(np.sum(np.abs(c) ** 2) / self.r2))
+        return 0.0, float(np.sqrt(np.sum(np.abs(c) ** 2) / self.r2))
 
-    def tangent_point(self, gamma: float) -> np.ndarray:
+    def point(self, gamma: float) -> np.ndarray:
         """s(gamma) = P V (-c/(mu + gamma)) + Capon point."""
         mu, vecs, c = self._spectrum
         return self.project(vecs @ (-c / (mu + gamma))) + self.center
@@ -220,6 +223,110 @@ class _SvdProblem(WaveformProblem):
         keep = sig**2 > self.floor
         sig = sig[keep]
         return sig**2, vh[keep].conj().T, -sig * (u_mat[:, keep].conj().T @ d)
+
+
+class _DualProblem(WaveformProblem):
+    """The sdp route's problem: qcqp's spectrum and secular equation,
+    bracketed by golden-section maximization of the concave dual."""
+
+    def bracket(self) -> tuple[float, float]:
+        """The final golden-section interval around the dual's maximizer
+        on the base bracket, _GOLDEN_RTOL times that bracket wide."""
+        lo, hi = super().bracket()
+        a, b = lo, hi
+        c = b - _GOLDEN * (b - a)
+        d = a + _GOLDEN * (b - a)
+        fc, fd = self.dual_value(c), self.dual_value(d)
+        while b - a > _GOLDEN_RTOL * (hi - lo):
+            if fc >= fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = self.dual_value(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = self.dual_value(d)
+        # rounding on the dual's flat top can move the interval past the root
+        return (a if self.secular(a) > 0.0 else 0.0), b
+
+
+class _RidgeProblem(WaveformProblem):
+    """The am-direct route's problem: the ridge update
+
+        s(lam) = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y)
+
+    in the eigenbasis of F0, with secular function ||s(lam)||^2 - P_o.
+    At lam = 0 it takes s0, the limit of s(lam) as lam -> 0 at any rank
+    of F0: for a singular F0 the null-space point or the minimum-norm
+    point.
+    """
+
+    @cached_property
+    def _eigenbasis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(evals, evecs, ytilde, |ytilde|^2): F0's eigenpairs above the
+        floor, from the smaller Gram matrix of B, and ytilde = evecs^H y.
+        When F0 is singular, y's null direction leads with eigenvalue
+        exactly 0; every other eigenvalue is above the floor."""
+        y = self.steering
+        evals, evecs, _ = _gram_eigh(self.factor, self.floor)
+        ytilde = evecs.conj().T @ y
+        if evals.size < y.size:
+            # F0 is singular: the rest of y, in its null space, is one more eigenvalue 0
+            y_null = y - evecs @ ytilde
+            y_null -= evecs @ (evecs.conj().T @ y_null)  # rounding leaves some of it in the range
+            n_null = float(np.linalg.norm(y_null))
+            evals = np.concatenate(([0.0], evals))
+            evecs = np.column_stack((y_null / n_null if n_null > 0.0 else y_null, evecs))
+            ytilde = np.concatenate(([n_null], ytilde))
+        return evals, evecs, ytilde, np.abs(ytilde) ** 2
+
+    def _ridge(self, lam: float) -> tuple[np.ndarray, float]:
+        """(s(lam), ||s(lam)||^2)."""
+        evals, evecs, ytilde, abs2 = self._eigenbasis
+        d = evals + lam
+        denom = float(np.sum(abs2 / d))
+        s = (self.kappa / denom) * (evecs @ (ytilde / d))
+        return s, self.kappa**2 * float(np.sum(abs2 / d**2)) / denom**2
+
+    @cached_property
+    def _s0(self) -> tuple[np.ndarray, float]:
+        """(s0, ||s0||^2), the point at lam = 0 and its power."""
+        evals, evecs, ytilde, abs2 = self._eigenbasis
+        if evals[0] > 0.0:
+            return self._ridge(0.0)
+        kappa = self.kappa
+        a_null, a_range = float(abs2[0]), float(np.sum(abs2[1:]))
+        # y's null part n is the tangent direction P n, with Rayleigh quotient
+        # a_null y^H F0 y / (||y||^2 a_range): it counts above the floor, or if a_range = 0
+        if a_null * float(np.sum(evals * abs2)) >= self.floor * self.ny2 * a_range:
+            # limit of the ridge update: the null-space component wins
+            return (kappa / a_null) * (evecs[:, :1] @ ytilde[:1]), kappa**2 / a_null
+        # the minimum-norm minimizer, as in the tangent routes
+        denom = float(np.sum(abs2[1:] / evals[1:]))
+        s0 = (kappa / denom) * (evecs[:, 1:] @ (ytilde[1:] / evals[1:]))
+        return s0, kappa**2 * float(np.sum(abs2[1:] / evals[1:] ** 2)) / denom**2
+
+    def point(self, lam: float) -> np.ndarray:
+        return self._s0[0] if lam == 0.0 else self._ridge(lam)[0]
+
+    def secular(self, lam: float) -> float:
+        return (self._s0[1] if lam == 0.0 else self._ridge(lam)[1]) - self.power_bound
+
+    def secular_derivative(self, lam: float) -> float:
+        evals, _, _, abs2 = self._eigenbasis
+        d = evals + lam
+        a_sum = float(np.sum(abs2 / d**2))
+        b_sum = float(np.sum(abs2 / d))
+        c_sum = float(np.sum(abs2 / d**3))
+        return 2.0 * self.kappa**2 * (a_sum**2 - c_sum * b_sum) / b_sum**3
+
+    def bracket(self) -> tuple[float, float]:
+        # kappa ||P F0 y|| / (||y||^2 r) is the tangent bracket's upper end:
+        # s(lam) -> center - kappa/(lam ||y||^2) P F0 y as lam grows
+        evals, _, _, abs2 = self._eigenbasis
+        pf0y2 = float(np.sum(evals**2 * abs2)) - float(np.sum(evals * abs2)) ** 2 / self.ny2
+        hi = self.kappa * np.sqrt(max(pf0y2, 0.0) / self.r2) / self.ny2
+        return 0.0, (hi if hi > 0.0 else 1.0)
 
 
 @dataclass
@@ -268,104 +375,43 @@ def _make_solution(problem: WaveformProblem, s: np.ndarray,
     )
 
 
-def _solve(problem: WaveformProblem, mode: str, point, secular, derivative,
-           bracket) -> WaveformSolution:
-    """The multiplier regime every route shares.
+def _solve(problem: WaveformProblem, mode: str) -> WaveformSolution:
+    """The multiplier regime every route shares, on the route's problem.
 
-    `point(x)` is the route's waveform at multiplier x, `secular` its
-    decreasing secular function (<= 0 where the point fits the power
-    bound) with `derivative`, and `bracket()` returns (lo, hi) with
-    secular(lo) > 0 for the root solve; it is called only when the bound
-    is active, after r^2 > 0 is known.
+    Zero mode takes ``problem.point(0)`` and never enforces the bound.
+    Root mode takes the Capon point when r^2 = 0, ``point(0)`` when
+    ``secular(0) <= 0``, and otherwise ``point`` at the root of
+    ``secular`` (with ``secular_derivative``) from ``bisect_root`` on
+    ``bracket()``, which is called only then, after r^2 > 0 is known.
+    ``bisect_root`` is looked up in this module at each call, so a
+    wrapper installed there sees every root solve.
     """
     if mode not in ("root", "zero"):
         raise ValueError(f"unknown mode {mode!r}")
     multiplier = 0.0
     if mode == "zero":
-        s = point(0.0)
+        s = problem.point(0.0)
     elif problem.r2 == 0.0:
         s = problem.center.copy()
-    elif secular(0.0) <= 0.0:
-        s = point(0.0)
+    elif problem.secular(0.0) <= 0.0:
+        s = problem.point(0.0)
     else:
-        multiplier = bisect_root(secular, derivative, *bracket())
-        s = point(multiplier)
+        multiplier = bisect_root(problem.secular, problem.secular_derivative,
+                                 *problem.bracket())
+        s = problem.point(multiplier)
     return _make_solution(problem, s, multiplier)
 
 
 def direct_update(factor, g_map, w, kappa: float, power_bound: float,
                   mode: str = "root") -> WaveformSolution:
-    """Ridge-form waveform update with the multiplier found by root finding.
+    """Ridge-form waveform update (``_RidgeProblem``) for y = G^H w.
 
-    In root mode, lam is the smallest nonnegative value for which
-    s(lam) = kappa*(F0+lam*I)^-1 y / (y^H (F0+lam*I)^-1 y), F0 = B^H B
-    for the clutter factor B, meets the power bound; lam = 0 is returned
-    exactly (same code path as zero mode) whenever the unconstrained
-    update is already feasible. Zero mode takes that same lam = 0 point
-    at any rank of F0 and never enforces the bound: for a singular F0 it
-    is the limit of s(lam) as lam -> 0, the null-space point or the
-    minimum-norm point.
+    Root mode takes the smallest lam >= 0 whose update meets the power
+    bound, exactly lam = 0 (zero mode's point) when the unconstrained
+    update fits; zero mode never enforces the bound.
     """
     y_w = _as_complex(g_map).conj().T @ _as_complex(w).reshape(-1)
-    problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
-    y, ny2 = problem.steering, problem.ny2
-
-    evals, evecs, _ = _gram_eigh(problem.factor, problem.floor)
-    ytilde = evecs.conj().T @ y
-    rank = evals.size
-    if rank < y.size:
-        # F0 is singular: the rest of y, in its null space, is one more eigenvalue 0
-        y_null = y - evecs @ ytilde
-        y_null -= evecs @ (evecs.conj().T @ y_null)  # rounding leaves some of it in the range
-        n_null = float(np.linalg.norm(y_null))
-        evals = np.concatenate(([0.0], evals))
-        evecs = np.column_stack((y_null / n_null if n_null > 0.0 else y_null, evecs))
-        ytilde = np.concatenate(([n_null], ytilde))
-    abs2 = np.abs(ytilde) ** 2
-
-    def ridge(lam: float) -> tuple[np.ndarray, float]:
-        d = evals + lam
-        denom = float(np.sum(abs2 / d))
-        s = (kappa / denom) * (evecs @ (ytilde / d))
-        return s, kappa**2 * float(np.sum(abs2 / d**2)) / denom**2
-
-    if rank == y.size:
-        s0, norm2_0 = ridge(0.0)
-    else:
-        a_null, a_range = float(abs2[0]), float(np.sum(abs2[1:]))
-        # y's null part n is the tangent direction P n, with Rayleigh quotient
-        # a_null y^H F0 y / (||y||^2 a_range): it counts above the floor, or if a_range = 0
-        if a_null * float(np.sum(evals * abs2)) >= problem.floor * ny2 * a_range:
-            # limit of the ridge update: the null-space component wins
-            s0 = (kappa / a_null) * (evecs[:, :1] @ ytilde[:1])
-            norm2_0 = kappa**2 / a_null
-        else:
-            # the minimum-norm minimizer, as in the tangent routes
-            denom = float(np.sum(abs2[1:] / evals[1:]))
-            s0 = (kappa / denom) * (evecs[:, 1:] @ (ytilde[1:] / evals[1:]))
-            norm2_0 = kappa**2 * float(np.sum(abs2[1:] / evals[1:] ** 2)) / denom**2
-
-    def point(lam: float) -> np.ndarray:
-        return s0 if lam == 0.0 else ridge(lam)[0]
-
-    def phi(lam: float) -> float:
-        return (norm2_0 if lam == 0.0 else ridge(lam)[1]) - power_bound
-
-    def dphi(lam: float) -> float:
-        d = evals + lam
-        a_sum = float(np.sum(abs2 / d**2))
-        b_sum = float(np.sum(abs2 / d))
-        c_sum = float(np.sum(abs2 / d**3))
-        return 2.0 * kappa**2 * (a_sum**2 - c_sum * b_sum) / b_sum**3
-
-    def bracket() -> tuple[float, float]:
-        # kappa ||P F0 y|| / (||y||^2 r) is the tangent routes' root_bound:
-        # s(lam) -> center - kappa/(lam ||y||^2) P F0 y as lam grows
-        pf0y2 = float(np.sum(evals**2 * abs2)) - float(np.sum(evals * abs2)) ** 2 / ny2
-        hi = kappa * np.sqrt(max(pf0y2, 0.0) / problem.r2) / ny2
-        return 0.0, (hi if hi > 0.0 else 1.0)
-
-    return _solve(problem, mode, point, phi, dphi, bracket)
+    return _solve(_RidgeProblem._validated(factor, y_w, kappa, power_bound), mode)
 
 
 def qcqp_solve(factor, y_w, kappa: float, power_bound: float,
@@ -377,28 +423,7 @@ def qcqp_solve(factor, y_w, kappa: float, power_bound: float,
     ||q(gamma*)||^2 = r^2. Zero mode pins gamma = 0 and ignores the
     power bound entirely.
     """
-    problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
-    return _solve(problem, mode, problem.tangent_point, problem.secular,
-                  problem.secular_derivative, lambda: (0.0, problem.root_bound()))
-
-
-def _golden_max(fun, lo: float, hi: float) -> tuple[float, float]:
-    """Golden-section search for the maximizer of a concave function:
-    returns the final interval, _GOLDEN_RTOL times the bracket wide."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    while b - a > _GOLDEN_RTOL * (hi - lo):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    return a, b
+    return _solve(WaveformProblem._validated(factor, y_w, kappa, power_bound), mode)
 
 
 def sdp_dual_solve(factor, y_w, kappa: float, power_bound: float,
@@ -409,21 +434,13 @@ def sdp_dual_solve(factor, y_w, kappa: float, power_bound: float,
                - (kappa^2/||y||^4) b^H M(alpha)^+ b
 
     with M(alpha) = P(F0 + alpha*P)P and b = P F0 y, maximized by
-    golden-section search on [0, root_bound]; the final golden
-    interval goes to the shared root solver on the dual's derivative,
-    the secular function. The primal point is recovered from the
-    optimizing alpha and certified against the dual value (rank-1
+    golden-section search on qcqp's bracket (``_DualProblem``); the final
+    golden interval goes to the shared root solver on the dual's
+    derivative, the secular function. The primal point is recovered from
+    the optimizing alpha and certified against the dual value (rank-1
     lifting, weak/strong duality gap).
     """
-    problem = WaveformProblem._validated(factor, y_w, kappa, power_bound)
-
-    def bracket() -> tuple[float, float]:
-        lo, hi = _golden_max(problem.dual_value, 0.0, problem.root_bound())
-        # rounding on the dual's flat top can move the interval past the root
-        return (lo if problem.secular(lo) > 0.0 else 0.0), hi
-
-    solution = _solve(problem, mode, problem.tangent_point, problem.secular,
-                      problem.secular_derivative, bracket)
+    solution = _solve(_DualProblem._validated(factor, y_w, kappa, power_bound), mode)
     if not np.isfinite(solution.objective):
         raise NumericalFailure("dual route produced a non-finite objective")
     solution.certificate = sdp_certificate(solution)
@@ -471,9 +488,7 @@ def cls_solve(factor, y_w, kappa: float, power_bound: float,
     both: its squared singular values above the floor are the spectrum,
     and the problem's own secular formulas run on it.
     """
-    problem = _SvdProblem._validated(factor, y_w, kappa, power_bound)
-    return _solve(problem, mode, problem.tangent_point, problem.secular,
-                  problem.secular_derivative, lambda: (0.0, problem.root_bound()))
+    return _solve(_SvdProblem._validated(factor, y_w, kappa, power_bound), mode)
 
 
 def scale_solution(w, s, power_bound: float) -> tuple[np.ndarray, np.ndarray]:

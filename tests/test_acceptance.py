@@ -217,29 +217,55 @@ def test_criterion_07_scaling_identity(default_cfg, default_bundle):
                  "by ||s||^2/P_o (1e-10), exact full power (1e-12)")
 
 
-def test_criterion_08_mean_ordering(default_cfg):
-    trials = 50
-    spec_root = cs.ExperimentSpec(scenario=default_cfg, solvers=("qcqp",),
+def mean_ordering(cfg, trials=50):
+    """Criterion 8's paired Monte Carlo on `cfg`: root-mode qcqp and
+    zero-mode sdp from the same starts. Returns the rescaled, lambda=0 and
+    unscaled final objectives, the two gaps with their standard errors,
+    and the share of root-mode steps with an active power bound."""
+    spec_root = cs.ExperimentSpec(scenario=cfg, solvers=("qcqp",),
                                   lambda_mode="root", rescale=True,
-                                  trials=trials, max_iter=20, seed=default_cfg.seed)
-    spec_zero = cs.ExperimentSpec(scenario=default_cfg, solvers=("sdp",),
+                                  trials=trials, max_iter=20, seed=cfg.seed)
+    spec_zero = cs.ExperimentSpec(scenario=cfg, solvers=("sdp",),
                                   lambda_mode="zero", rescale=True,
-                                  trials=trials, max_iter=20, seed=default_cfg.seed)
+                                  trials=trials, max_iter=20, seed=cfg.seed)
     traces_root, _ = cs.run_comparison(spec_root)
     traces_zero, _ = cs.run_comparison(spec_zero)
     rescaled = np.array([t.records[-1].rescaled_objective for t in traces_root["qcqp"]])
     unscaled = np.array([t.records[-1].full_objective for t in traces_root["qcqp"]])
     zero_mode = np.array([t.records[-1].rescaled_objective for t in traces_zero["sdp"]])
+    multipliers = [r.multiplier for t in traces_root["qcqp"] for r in t.records[1:]]
 
     gap1 = zero_mode - rescaled   # lambda=0 variant vs rescaled (paired trials)
     gap2 = unscaled - zero_mode   # root-mode unscaled vs lambda=0 variant
     se1 = gap1.std(ddof=1) / np.sqrt(trials)
     se2 = gap2.std(ddof=1) / np.sqrt(trials)
+    active_frac = float(np.mean(np.array(multipliers) > 0.0))
+    return rescaled, zero_mode, unscaled, (gap1, se1), (gap2, se2), active_frac
+
+
+def test_criterion_08_mean_ordering(default_cfg):
+    rescaled, zero_mode, unscaled, (gap1, se1), (gap2, se2), _ = mean_ordering(default_cfg)
     assert gap1.mean() >= -se1
     assert gap2.mean() >= -se2
     _passline(8, f"50-trial means: rescaled {rescaled.mean():.4e} <= lambda-0 "
                  f"{zero_mode.mean():.4e} <= unscaled {unscaled.mean():.4e} "
                  f"(gaps {gap1.mean():+.2e}, {gap2.mean():+.2e}, each >= -1 SE)")
+
+
+def test_criterion_08_ordering_with_an_active_bound(default_cfg):
+    # at P_o = 1 the demo's bound never binds, so root mode's point is the
+    # multiplier-0 point zero mode takes and the first gap is exactly 0.
+    # At P_o = 0.1 it binds on some steps and the first inequality compares
+    # different numbers; at P_o <= 0.03 the second one reverses (README)
+    cfg = dataclasses.replace(default_cfg, power=0.1)
+    rescaled, zero_mode, unscaled, (gap1, se1), (gap2, se2), active_frac = mean_ordering(cfg)
+    assert active_frac > 0.0
+    assert rescaled.tobytes() != zero_mode.tobytes()
+    assert gap1.mean() >= -se1
+    assert gap2.mean() >= -se2
+    print(f"[acceptance] P_o = 0.1: active_frac {active_frac:.3f}, gaps "
+          f"{gap1.mean():+.2e} ({gap1.mean() / se1:.2f} SE), "
+          f"{gap2.mean():+.2e} ({gap2.mean() / se2:.2f} SE)")
 
 
 def test_criterion_09_cls_identity():

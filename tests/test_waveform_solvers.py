@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import costap as cs
 from costap.am_driver import _am_step
 from costap.matrix_ops import TAU_RANK
-from costap.waveform_solvers import WaveformProblem
+from costap import waveform_solvers
+from costap.waveform_solvers import WaveformProblem, _DualProblem, _RidgeProblem, _SvdProblem
 
 from helpers import (
     align_phase,
@@ -591,6 +592,83 @@ class TestSharedRegime:
         assert sol.multiplier == 0.0
         assert sol.capon_residual <= 1e-12
         assert sol.power > 0.5 * capon_power
+
+
+def interface_problems(count, seed):
+    """`count` seeded waveform subproblems (B, y, P_o, multipliers) at
+    kappa = 1: N in 2..16, k in 1..2N rows of a random complex factor (so F0
+    is singular when k < N), P_o from just above the Capon power
+    1/||y||^2 to 100 times it, and five multipliers x > 0 spread over
+    1e-4..1e2 times tr F0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 17))
+        b = random_complex(rng, int(rng.integers(1, 2 * n + 1)), n)
+        y = random_complex(rng, n)
+        capon = 1.0 / float(np.real(y.conj() @ y))
+        p_o = capon * (1.0 + 10.0 ** rng.uniform(-6.0, np.log10(99.0)))
+        yield b, y, p_o, np.linalg.norm(b) ** 2 * 10.0 ** rng.uniform(-4.0, 2.0, 5)
+
+
+class TestProblemInterface:
+    """Every route's problem answers point, secular, secular_derivative
+    and bracket; the four routes share ``_solve(problem, mode)``."""
+
+    def test_route_problems_agree_with_the_base_class(self):
+        # the ridge form is ||s(lam)||^2 - P_o in F0's eigenbasis, the others
+        # ||P q||^2 - r^2 on the spectrum of P F0 P: the same function of x.
+        # The ridge derivative cancels (a^2 - c b), hence its wider bound
+        for b, y, p_o, xs in interface_problems(400, 3901):
+            base = WaveformProblem._validated(b, y, 1.0, p_o)
+            hi = base.bracket()[1]
+            for cls in (_RidgeProblem, _SvdProblem, _DualProblem):
+                problem = cls._validated(b, y, 1.0, p_o)
+                if cls is not _DualProblem:
+                    assert abs(problem.bracket()[1] - hi) <= 1e-12 * hi, cls
+                for x in xs:
+                    ref = base.point(x)
+                    assert np.linalg.norm(problem.point(x) - ref) \
+                        <= 1e-10 * np.linalg.norm(ref), cls
+                    assert abs(problem.secular(x) - base.secular(x)) <= 1e-10 * p_o, cls
+                    slope = base.secular_derivative(x)
+                    assert abs(problem.secular_derivative(x) - slope) <= 1e-5 * abs(slope), cls
+
+    def test_dual_bracket_lies_in_the_base_bracket(self):
+        # the golden-section interval narrows the base bracket and keeps a
+        # positive secular value at its lower end, where bisect_root starts
+        active = 0
+        for b, y, p_o, _ in interface_problems(400, 3902):
+            base = WaveformProblem._validated(b, y, 1.0, p_o)
+            if base.secular(0.0) <= 0.0:
+                continue
+            active += 1
+            lo, hi = _DualProblem._validated(b, y, 1.0, p_o).bracket()
+            base_lo, base_hi = base.bracket()
+            assert base_lo <= lo < hi <= base_hi
+            assert base.secular(lo) > 0.0
+        assert active >= 100
+
+    def test_routes_look_up_bisect_root_at_call_time(self, monkeypatch):
+        # the benchmark counts root-solver calls and evaluations by patching
+        # waveform_solvers.bisect_root; a route that captured the solver
+        # elsewhere would leave those counts at 0
+        rng = np.random.default_rng(3903)
+        b, y, kappa, p_o = random_instance(rng, 6, slack=1.02)
+        reference = solve_all(b, y, kappa, p_o)
+        assert all(sol.multiplier > 0.0 for sol in reference.values())
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        original = waveform_solvers.bisect_root
+        monkeypatch.setattr(waveform_solvers, "bisect_root", counting)
+        for name, route in ROUTES_BY_MODE.items():
+            calls.clear()
+            sol = route(b, y, kappa, p_o, "root")
+            assert len(calls) == 1, name
+            assert sol.s.tobytes() == reference[name].s.tobytes(), name
 
 
 @st.composite

@@ -11,9 +11,7 @@ from .am_driver import (
     constraint_set_drift,
     draw_waveform,
     full_objective,
-    functional_relation_check,
     hull_diameter,
-    initial_waveform,
     run,
 )
 from .errors import (

@@ -2,9 +2,12 @@
 
 One outer iteration is an exact MVDR weight update for the previous
 waveform followed by one of the four equivalent waveform solves. The
-driver records a full per-iteration trace (objectives at both
-half-steps, constraint residuals, multiplier, step sizes, constraint-set
-drift) and checks the monotone-descent property
+alternation itself is one generator, `steps`, which yields the start
+and then one `Step` per iteration and never ends; everything else here
+only observes it. `run` takes max_iter + 1 steps, records a full
+per-iteration trace (objectives at both half-steps, constraint
+residuals, multiplier, step sizes, constraint-set drift) and checks the
+monotone-descent property
 
     f(w1, s0) >= f(w1, s1) >= f(w2, s1) >= f(w2, s2) >= ...
 
@@ -13,13 +16,14 @@ which exact block minimization guarantees up to solve precision.
 The paper's convergence argument also tracks the moving waveform
 constraint set (`constraint_set_drift`, an exact Hausdorff distance) and
 the diameter of the iterates' convex hull (`hull_diameter`). Both are
-computed after the loop: the drift in one call over the stacked
-steering vectors y_k = G^H w_k, NaN where a set is empty.
+computed once all steps are taken: the drift in one call over the
+stacked steering vectors y_k = G^H w_k, NaN where a set is empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .matrix_ops import TAU_ZERO, _as_complex
 from .radar_model import CovarianceBundle, ScenarioConfig, build_bundle, total_cov
 from .receiver import mvdr_update
 from .waveform_solvers import (
+    LAMBDA_MODES,
     WaveformSolution,
     _feasible_radius2,
     _steering_norm2,
@@ -39,7 +44,6 @@ from .waveform_solvers import (
 )
 
 SOLVERS = ("am-direct", "qcqp", "sdp", "cls")
-LAMBDA_MODES = ("root", "zero")
 
 _MONOTONE_SLACK = 1e-9
 
@@ -79,12 +83,6 @@ class IterateTrace:
     rescaled: bool = False
     seed: int | None = None
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
     def objectives(self) -> np.ndarray:
         return np.array([r.full_objective for r in self.records])
 
@@ -118,11 +116,6 @@ def draw_waveform(n: int, power_bound: float, rng: np.random.Generator) -> np.nd
     return x * (np.sqrt(0.5 * power_bound) / np.linalg.norm(x))
 
 
-def initial_waveform(cfg: ScenarioConfig) -> np.ndarray:
-    """Seeded random starting waveform for a scenario."""
-    return draw_waveform(cfg.N, cfg.power, np.random.default_rng(cfg.seed))
-
-
 def check_run_args(solver: str, max_iter: int, lambda_mode: str) -> None:
     """Reject an unknown solver or multiplier mode or an iteration count
     that is not an integer >= 0."""
@@ -134,42 +127,65 @@ def check_run_args(solver: str, max_iter: int, lambda_mode: str) -> None:
                               f"unknown mode {lambda_mode!r}; expected one of {LAMBDA_MODES}")
 
 
-def _am_step(bundle: CovarianceBundle, cfg: ScenarioConfig, s_prev: np.ndarray,
-             solver: str, lambda_mode: str
-             ) -> tuple[np.ndarray, np.ndarray, WaveformSolution, float]:
-    """One outer iteration from s_prev: (w, y = G^H w, solution, half objective)."""
-    r_prev = total_cov(bundle, s_prev)
-    w = mvdr_update(r_prev, bundle.target_map, s_prev, cfg.kappa)
-    half = r_prev.quad(w)
-    y = bundle.target_map.conj().T @ w
-    b = bundle.hessian(w)  # the clutter factor, F0 = B^H B
-    if solver == "am-direct":
-        solution = direct_update(b, bundle.target_map, w, cfg.kappa, cfg.power, mode=lambda_mode)
-    elif solver == "qcqp":
-        solution = qcqp_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
-    elif solver == "sdp":
-        solution = sdp_dual_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
-    else:
-        solution = cls_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
-    return w, y, solution, half
+@dataclass(frozen=True, eq=False)
+class Step:
+    """One state of the alternation: the MVDR weights w for the previous
+    waveform, y = G^H w, the new waveform s, the route's solution and the
+    half objective w^H R_u(s_prev) w. The start (w for s0, and s0) has no
+    solution and no half objective."""
+
+    w: np.ndarray
+    y: np.ndarray
+    s: np.ndarray
+    solution: WaveformSolution | None = None
+    half: float | None = None
+
+
+def steps(bundle: CovarianceBundle, cfg: ScenarioConfig, s: np.ndarray,
+          solver: str, lambda_mode: str):
+    """The alternation from s: yield the start, then one `Step` per outer
+    iteration, without end. Solver errors are re-raised with the
+    iteration index attached. Every layer is looked up in this module at
+    each call, so a wrapper installed here sees it."""
+    w = mvdr_update(total_cov(bundle, s), bundle.target_map, s, cfg.kappa)
+    yield Step(w, bundle.target_map.conj().T @ w, s)
+    for k in count(1):
+        try:
+            r_prev = total_cov(bundle, s)
+            w = mvdr_update(r_prev, bundle.target_map, s, cfg.kappa)
+            half = r_prev.quad(w)
+            y = bundle.target_map.conj().T @ w
+            b = bundle.hessian(w)  # the clutter factor, F0 = B^H B
+            if solver == "am-direct":
+                solution = direct_update(b, bundle.target_map, w, cfg.kappa, cfg.power,
+                                         mode=lambda_mode)
+            elif solver == "qcqp":
+                solution = qcqp_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
+            elif solver == "sdp":
+                solution = sdp_dual_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
+            else:
+                solution = cls_solve(b, y, cfg.kappa, cfg.power, mode=lambda_mode)
+        except CostapError as exc:
+            raise type(exc)(f"iteration {k}: {exc}") from exc
+        s = solution.s
+        yield Step(w, y, s, solution, half)
 
 
 def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
         lambda_mode: str = "root", rescale: bool = False,
         init_waveform=None) -> RunReport:
-    """Alternate the receiver and waveform updates `max_iter` times from a
-    seeded start, or from `init_waveform`. With `rescale`, the iterate
-    pair is additionally rescaled to exact full power after each
-    waveform step and the resulting objective recorded as a separate
-    trace column; the iteration itself always continues from the
-    unrescaled pair. Solver errors are re-raised with the iteration
-    index attached. The drift of records 1..max_iter comes from one
-    stacked `constraint_set_drift` call after the loop (NaN for an empty
+    """Take `max_iter` + 1 steps (the start and `max_iter` iterations)
+    from a seeded start, or from `init_waveform`, and record each. With
+    `rescale`, the iterate pair is additionally rescaled to exact full
+    power and the resulting objective recorded as a separate trace
+    column; the iteration itself always continues from the unrescaled
+    pair. The drift of records 1..max_iter comes from one stacked
+    `constraint_set_drift` call over the steps' y (NaN for an empty
     constraint set); record 0 has none.
     """
     check_run_args(solver, max_iter, lambda_mode)
     if init_waveform is None:
-        s = initial_waveform(cfg)
+        s = draw_waveform(cfg.N, cfg.power, np.random.default_rng(cfg.seed))
         seed: int | None = cfg.seed
     else:
         s = _as_complex(init_waveform).reshape(-1)
@@ -177,43 +193,27 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
             raise ValidationError("init_waveform", f"has length {s.size}, expected N={cfg.N}")
         seed = None
     bundle = build_bundle(cfg)
-
-    trace = IterateTrace(records=[], solver=solver, lambda_mode=lambda_mode,
-                         rescaled=rescale, seed=seed)
-
-    w = mvdr_update(total_cov(bundle, s), bundle.target_map, s, cfg.kappa)
-    ys = [bundle.target_map.conj().T @ w]
-    trace.records.append(_record(bundle, cfg, 0, w, s, half=None, multiplier=None,
-                                 w_prev=None, s_prev=None, rescale=rescale))
-
-    for k in range(1, max_iter + 1):
-        w_prev, s_prev = w, s
-        try:
-            w, y, solution, half = _am_step(bundle, cfg, s_prev, solver, lambda_mode)
-        except CostapError as exc:
-            raise type(exc)(f"iteration {k}: {exc}") from exc
-        s = solution.s
-        ys.append(y)
-        trace.records.append(_record(bundle, cfg, k, w, s, half=half,
-                                     multiplier=solution.multiplier,
-                                     w_prev=w_prev, s_prev=s_prev, rescale=rescale))
+    taken = list(islice(steps(bundle, cfg, s, solver, lambda_mode), max_iter + 1))
+    drifts = [None]
     if max_iter:
-        ys = np.array(ys)
-        drifts = constraint_set_drift(ys[:-1], ys[1:], cfg.kappa, cfg.power)
-        for rec, drift in zip(trace.records[1:], drifts.tolist()):
-            rec.drift = drift
-    return _report(trace)
+        ys = np.array([step.y for step in taken])
+        drifts += constraint_set_drift(ys[:-1], ys[1:], cfg.kappa, cfg.power).tolist()
+    records = [_record(bundle, cfg, k, step, prev, drift, rescale)
+               for k, (step, prev, drift) in enumerate(zip(taken, [None, *taken], drifts))]
+    return _report(IterateTrace(records=records, solver=solver, lambda_mode=lambda_mode,
+                                rescaled=rescale, seed=seed))
 
 
-def _record(bundle: CovarianceBundle, cfg: ScenarioConfig, k: int, w, s, *,
-            half, multiplier, w_prev, s_prev, rescale) -> IterateRecord:
-    """Record iteration k; `run` fills in its drift after the loop."""
+def _record(bundle: CovarianceBundle, cfg: ScenarioConfig, k: int, step: Step,
+            prev: Step | None, drift: float | None, rescale: bool) -> IterateRecord:
+    """Record step k, whose predecessor is `prev` (None for the start)."""
+    w, s = step.w, step.s
     full = full_objective(bundle, w, s)
     clutter = bundle.clutter(s).quad(w)
     gs = bundle.target_map @ s
     capon = abs(complex(w.conj() @ gs) - cfg.kappa)
-    if s_prev is not None:
-        gs_prev = bundle.target_map @ s_prev
+    if prev is not None:
+        gs_prev = bundle.target_map @ prev.s
         capon = max(capon, abs(complex(w.conj() @ gs_prev) - cfg.kappa))
     rescaled_obj = None
     if rescale:
@@ -224,14 +224,14 @@ def _record(bundle: CovarianceBundle, cfg: ScenarioConfig, k: int, w, s, *,
         w=w,
         s=s,
         full_objective=full,
-        half_objective=full if half is None else half,
+        half_objective=full if step.half is None else step.half,
         clutter_objective=clutter,
         capon_residual=float(capon),
         power=float(np.real(s.conj() @ s)),
-        multiplier=multiplier,
-        step_w=None if w_prev is None else float(np.linalg.norm(w - w_prev)),
-        step_s=None if s_prev is None else float(np.linalg.norm(s - s_prev)),
-        drift=None,
+        multiplier=None if step.solution is None else step.solution.multiplier,
+        step_w=None if prev is None else float(np.linalg.norm(w - prev.w)),
+        step_s=None if prev is None else float(np.linalg.norm(s - prev.s)),
+        drift=drift,
         rescaled_objective=rescaled_obj,
     )
 
@@ -351,30 +351,3 @@ def constraint_set_drift(y_prev, y_curr, kappa: float,
     if pairs:
         drift[pairs] = np.sqrt(_circle_max(np.array(params), kappa).reshape(-1, 2).max(axis=1))
     return float(drift[0]) if not shape else drift.reshape(shape)
-
-
-def functional_relation_check(trace: IterateTrace, cfg: ScenarioConfig,
-                              solver: str | None = None,
-                              lambda_mode: str | None = None,
-                              rtol: float = 1e-12) -> bool:
-    """Replay every iterate from its predecessor and compare.
-
-    Verifies the deterministic functional relation (w_k, s_k) =
-    step(s_{k-1}) by recomputing each step with the same solver and
-    requiring agreement to `rtol` in max-abs (bit-level in practice).
-    """
-    if len(trace) < 2:
-        raise ValueError("trace must hold at least two iterations")
-    solver = trace.solver if solver is None else solver
-    lambda_mode = trace.lambda_mode if lambda_mode is None else lambda_mode
-    check_run_args(solver, len(trace) - 1, lambda_mode)
-    bundle = build_bundle(cfg)
-    for prev, curr in zip(trace.records[:-1], trace.records[1:]):
-        w, _, solution, _ = _am_step(bundle, cfg, prev.s, solver, lambda_mode)
-        w_scale = max(float(np.max(np.abs(curr.w))), TAU_ZERO)
-        s_scale = max(float(np.max(np.abs(curr.s))), TAU_ZERO)
-        if float(np.max(np.abs(w - curr.w))) > rtol * w_scale:
-            return False
-        if float(np.max(np.abs(solution.s - curr.s))) > rtol * s_scale:
-            return False
-    return True

@@ -52,16 +52,19 @@ gamma and the dual variable alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import Infeasible, NumericalFailure, ZeroSteering, ZeroWaveform
+from .errors import Infeasible, NumericalFailure, ValidationError, ZeroSteering, ZeroWaveform
 from .matrix_ops import TAU_RANK, TAU_ZERO, _as_complex, bisect_root
 # No route uses it; the benchmark still traces it here until its contract
 # drops it (ROADMAP item 1).
 from .matrix_ops import hermitian_sqrt  # noqa: F401
+
+LAMBDA_MODES = ("root", "zero")
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_RTOL = 1e-8
@@ -131,7 +134,12 @@ class WaveformProblem:
         b, y = _as_complex(factor), _as_complex(y_w).reshape(-1)
         if b.ndim != 2 or b.shape[1] != y.size:
             raise ValueError(f"factor shape {b.shape} does not match steering length {y.size}")
-        return cls(b, y, float(kappa), float(power_bound), _steering_norm2(y))
+        kappa, power_bound = float(kappa), float(power_bound)
+        if not math.isfinite(kappa):
+            raise ValidationError("kappa", f"must be finite, got {kappa!r}")
+        if not math.isfinite(power_bound):
+            raise ValidationError("power_bound", f"must be finite, got {power_bound!r}")
+        return cls(b, y, kappa, power_bound, _steering_norm2(y))
 
     @cached_property
     def center(self) -> np.ndarray:
@@ -386,8 +394,8 @@ def _solve(problem: WaveformProblem, mode: str) -> WaveformSolution:
     ``bisect_root`` is looked up in this module at each call, so a
     wrapper installed there sees every root solve.
     """
-    if mode not in ("root", "zero"):
-        raise ValueError(f"unknown mode {mode!r}")
+    if mode not in LAMBDA_MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {LAMBDA_MODES}")
     multiplier = 0.0
     if mode == "zero":
         s = problem.point(0.0)
@@ -496,8 +504,11 @@ def scale_solution(w, s, power_bound: float) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (w', s') = ((||s||/sqrt(P_o)) w, (sqrt(P_o)/||s||) s): the
     Capon product and the clutter quadratic form are unchanged, while
-    the noise-plus-interference response scales by ||s||^2/P_o.
+    the noise-plus-interference response scales by ||s||^2/P_o, which
+    must be finite and > 0.
     """
+    if not 0.0 < power_bound < math.inf:
+        raise ValidationError("power_bound", f"must be finite and > 0, got {power_bound!r}")
     w = _as_complex(w).reshape(-1)
     s = _as_complex(s).reshape(-1)
     ns = float(np.linalg.norm(s))

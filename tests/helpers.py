@@ -9,6 +9,7 @@ against them.
 import numpy as np
 from scipy.linalg import toeplitz
 
+import costap as cs
 from costap.matrix_ops import TAU_RANK, TAU_ZERO, bisect_root
 from costap.radar_model import (
     _clutter_patches,
@@ -141,3 +142,12 @@ def dense_base_cov(cfg):
 def dense_total_cov(cfg, s):
     """Dense R_u(s) = R_n + R_i + R_c(s) from the oracle builders."""
     return dense_base_cov(cfg) + clutter_cov(build_clutter_operators(cfg), s)
+
+
+def replays(cfg, trace, prev, curr) -> bool:
+    """Whether one iteration of `run` from record prev's waveform, with the
+    trace's solver and multiplier mode, gives record curr's w and s bit
+    for bit."""
+    rec = cs.run(cfg, trace.solver, max_iter=1, lambda_mode=trace.lambda_mode,
+                 init_waveform=prev.s).trace.records[1]
+    return np.array_equal(rec.w, curr.w) and np.array_equal(rec.s, curr.s)

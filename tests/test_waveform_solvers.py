@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import costap as cs
-from costap.am_driver import _am_step
 from costap.matrix_ops import TAU_RANK
-from costap import waveform_solvers
+from costap import am_driver, waveform_solvers
 from costap.waveform_solvers import WaveformProblem, _DualProblem, _RidgeProblem, _SvdProblem
 
 from helpers import (
@@ -453,6 +452,12 @@ class TestScaleSolution:
         with pytest.raises(cs.ZeroWaveform):
             cs.scale_solution(np.ones(4, dtype=complex), np.zeros(2, dtype=complex), 1.0)
 
+    @pytest.mark.parametrize("power_bound", [0.0, -1.0, np.nan, np.inf])
+    def test_power_bound_must_be_finite_and_positive(self, power_bound):
+        with pytest.raises(cs.ValidationError) as err:
+            cs.scale_solution(np.ones(4, dtype=complex), np.ones(2, dtype=complex), power_bound)
+        assert err.value.field == "power_bound"
+
 
 class TestFourWayEquivalence:
     def test_objectives_and_waveforms_agree(self):
@@ -541,13 +546,15 @@ class TestLongCodeGeometry:
         w, s = iterates[-1]
         rows = bundle.hessian(w).shape[0]
         assert rows == min(cfg.clutter.patches, cfg.L * cfg.M) == 2
+        stepper = am_driver.steps(bundle, cfg, s, solver, "root")
+        next(stepper)  # the start: the MVDR weights of s
         shapes = []
         for name in ("eigh", "svd", "qr"):
             def recorded(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
                 shapes.append((_name, np.shape(a)))
                 return _original(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, recorded)
-        _am_step(bundle, cfg, s, solver, "root")
+        next(stepper)
         assert {name for name, _ in shapes} == {kind}, shapes
         for name, shape in shapes:
             assert (max(shape) if name == "eigh" else min(shape)) <= rows, shapes
@@ -577,6 +584,16 @@ class TestSharedRegime:
         b, y, kappa, capon_power = self.instance(34)
         with pytest.raises(ValueError):
             ROUTES_BY_MODE[route](b, y, kappa, 2.0 * capon_power, "newton")
+
+    @pytest.mark.parametrize("field, value", [("kappa", np.nan), ("kappa", np.inf),
+                                              ("power_bound", np.nan),
+                                              ("power_bound", -np.inf)])
+    def test_non_finite_scalar_names_its_field(self, route, field, value):
+        b, y, kappa, capon_power = self.instance(37)
+        scalars = {"kappa": kappa, "power_bound": 2.0 * capon_power, field: value}
+        with pytest.raises(cs.ValidationError) as err:
+            ROUTES_BY_MODE[route](b, y, scalars["kappa"], scalars["power_bound"], "root")
+        assert err.value.field == field
 
     def test_budget_at_capon_power_returns_capon_point(self, route):
         b, y, kappa, capon_power = self.instance(35)

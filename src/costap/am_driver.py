@@ -188,9 +188,13 @@ def run(cfg: ScenarioConfig, solver: str = "qcqp", *, max_iter: int = 20,
         s = draw_waveform(cfg.N, cfg.power, np.random.default_rng(cfg.seed))
         seed: int | None = cfg.seed
     else:
-        s = _as_complex(init_waveform).reshape(-1)
+        s = np.asarray(init_waveform, dtype=np.complex128).reshape(-1)
         if s.size != cfg.N:
             raise ValidationError("init_waveform", f"has length {s.size}, expected N={cfg.N}")
+        if not np.isfinite(s).all():
+            raise ValidationError("init_waveform", "has non-finite entries")
+        if not s.any():
+            raise ValidationError("init_waveform", "is all zero")
         seed = None
     bundle = build_bundle(cfg)
     taken = list(islice(steps(bundle, cfg, s, solver, lambda_mode), max_iter + 1))

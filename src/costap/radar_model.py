@@ -7,9 +7,9 @@ innermost, so that G s = v kron s kron a holds literally with
 G = kron(v, kron(I_N, a)).
 
 The covariance R_u(s) = R_n + R_i + R_c(s) is never formed as an
-MNL x MNL matrix. R_n = rho^|i-j| is a Kac-Murdock-Szego matrix with a
-tridiagonal inverse; R_i + R_c(s) = F F^H with F the MNL x (I+r) factor
-of interferer columns and clutter columns t_j kron s.
+MNL x MNL matrix. R_n = rho^|i-j| is a Kac-Murdock-Szego matrix, held
+as its AR(1) whitener D; R_i + R_c(s) = F F^H with F the MNL x (I+r)
+factor of interferer columns and clutter columns t_j kron s.
 
 Clutter patch q responds to s with A_q s = v_q kron s kron a_q = k_q
 kron s, k_q = v_q kron a_q on the (pulse, sensor) axes. So the Q patches
@@ -25,12 +25,10 @@ per-iteration cost depends on Q.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zpttrf, zpttrs
+from scipy.linalg.lapack import zpotrf, zpotrs, ztbtrs
 
 from .errors import SingularCovariance, ValidationError, check_int
 
@@ -184,31 +182,6 @@ def _clutter_patches(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return azimuths, cl.doppler_slope * np.sin(azimuths) * np.cos(cl.elevation) / 2.0
 
 
-@lru_cache(maxsize=16)
-def _kms_factor(rho: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The L D L^H factors (`zpttrf`) of the tridiagonal Kac-Murdock-Szego
-    inverse of order n >= 2: (1, 1+rho^2, ..., 1+rho^2, 1) / (1-rho^2) on
-    the diagonal and -rho / (1-rho^2) beside it. Read-only, as they are
-    shared by every solve of that order."""
-    s2 = 1.0 - rho * rho
-    d = np.full(n, (1.0 + rho * rho) / s2)
-    d[[0, -1]] = 1.0 / s2
-    d, e, info = zpttrf(d, np.full(n - 1, -rho / s2, dtype=np.complex128))
-    if info > 0:
-        raise LinAlgError(f"{info}th leading minor not positive definite")
-    d.flags.writeable = e.flags.writeable = False
-    return d, e
-
-
-def _kms_matvec(rho: float, x: np.ndarray) -> np.ndarray:
-    """R_n x along axis 0 for R_n = rho^|i-j|, as a solve with the KMS
-    inverse factored once per (rho, n) (`_kms_factor`). At n = 1, R_n = [1]."""
-    n = x.shape[0]
-    if n == 1:
-        return x.copy()
-    return zpttrs(*_kms_factor(rho, n), x)[0]
-
-
 def _kms_whiten(rho: float, x: np.ndarray) -> np.ndarray:
     """D x along the last axis, D the lower-bidiagonal AR(1) whitener with
     D^T D = R_n^-1: entries (x_0, (x_i - rho x_{i-1}) / sqrt(1-rho^2))."""
@@ -233,15 +206,30 @@ def _kms_whiten_adjoint(rho: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kms_unwhiten(rho: float, x: np.ndarray, trans: str = "N") -> np.ndarray:
+    """D^-1 x, or D^-T x with trans="T", along axis 0 for a vector or the
+    columns of a matrix: a banded triangular solve (`ztbtrs`) on D's 2 x n
+    lower band, diagonal (1, 1/sigma, ..., 1/sigma) and -rho/sigma below
+    it, sigma = sqrt(1-rho^2)."""
+    sigma = np.sqrt(1.0 - rho * rho)
+    band = np.empty((2, x.shape[0]), dtype=np.complex128)
+    band[0] = 1.0 / sigma
+    band[0, 0] = 1.0
+    band[1] = -rho / sigma
+    return ztbtrs(band, x, uplo="L", trans=trans)[0]
+
+
 @dataclass(frozen=True, eq=False)
 class SpaceTimeCov:
     """Space-time covariance R = R_n + F F^H, never formed densely.
 
     R_n is the Kac-Murdock-Szego matrix rho^|i-j|, rho = exp(-decay)
-    (rho = 0 gives the identity); `rho=None` drops the noise term. F is
-    MNL x c: the interferer columns sqrt(p_i) u_i, then the clutter
-    columns t_j kron s. Products and quadratic forms cost O(MNL * c), a
-    solve O(MNL * c^2 + c^3).
+    (rho = 0 gives the identity), held only as its whitener D (D^T D =
+    R_n^-1): w^H R_n w = ||D^-T w||^2 and R_n x = D^-1 D^-T x by banded
+    triangular solves. `rho=None` drops the noise term. F is MNL x c: the
+    interferer columns sqrt(p_i) u_i, then the clutter columns t_j kron s.
+    Products and quadratic forms cost O(MNL * c), a solve O(MNL * c^2 +
+    c^3).
     """
 
     rho: float | None
@@ -252,27 +240,28 @@ class SpaceTimeCov:
         x = np.asarray(x, dtype=np.complex128)
         out = self.factor @ (self.factor.T @ x.conj()).conj()  # F (F^H x)
         if self.rho is not None:
-            out += _kms_matvec(self.rho, x)
+            out += _kms_unwhiten(self.rho, _kms_unwhiten(self.rho, x, "T"))
         return out
 
     def quad(self, w) -> float:
-        """w^H R w as w^H R_n w + ||F^H w||^2, a sum of nonnegative terms,
-        so a small form is not the difference of large ones."""
+        """w^H R w as ||D^-T w||^2 + ||F^H w||^2, a sum of nonnegative
+        terms, so a small form is not the difference of large ones."""
         w = np.asarray(w, dtype=np.complex128).reshape(-1)
         fw = self.factor.T @ w.conj()  # conj(F^H w)
         out = float(np.vdot(fw, fw).real)
         if self.rho is not None:
-            out += float(np.vdot(w, _kms_matvec(self.rho, w)).real)
+            v = _kms_unwhiten(self.rho, w, "T")
+            out += float(np.vdot(v, v).real)
         return out
 
     def solve(self, g) -> np.ndarray:
         """R^-1 g for a vector g, by the Woodbury identity.
 
-        With the whitener D (D^T D = R_n^-1) and E = D F, R^-1 = D^T (I -
-        E C^-1 E^H) D with the r x r capacitance C = I + E^H E = I + F^H
-        R_n^-1 F, which is positive definite by construction; it is
-        factored by Cholesky. Raises SingularCovariance without a noise
-        term or when the factorization fails (non-finite input).
+        With E = D F, R^-1 = D^T (I - E C^-1 E^H) D with the r x r
+        capacitance C = I + E^H E = I + F^H R_n^-1 F, which is positive
+        definite by construction; it is factored by Cholesky (`zpotrf`,
+        `zpotrs`). Raises SingularCovariance without a noise term or when
+        the factorization fails (non-finite input).
         """
         if self.rho is None:
             raise SingularCovariance("F F^H without a noise term is singular")
@@ -281,11 +270,10 @@ class SpaceTimeCov:
             e = _kms_whiten(self.rho, self.factor.T).T  # E, columns stored as rows
             cap = zherk(1.0, e, trans=2, lower=1)  # lower triangle of E^H E
             cap[np.diag_indices_from(cap)] += 1.0
-            try:
-                chol = cho_factor(cap, lower=True, check_finite=False)
-            except LinAlgError as exc:
-                raise SingularCovariance("capacitance factorization failed") from exc
-            b = b - e @ cho_solve(chol, (b.conj() @ e).conj(), check_finite=False)
+            chol, info = zpotrf(cap, lower=1, clean=0, overwrite_a=1)
+            if info:
+                raise SingularCovariance("capacitance factorization failed")
+            b = b - e @ zpotrs(chol, (b.conj() @ e).conj(), lower=1)[0]
         return _kms_whiten_adjoint(self.rho, b)
 
 

@@ -133,7 +133,8 @@ class WaveformProblem:
     def _validated(cls, factor, y_w, kappa: float, power_bound: float) -> WaveformProblem:
         b, y = _as_complex(factor), _as_complex(y_w).reshape(-1)
         if b.ndim != 2 or b.shape[1] != y.size:
-            raise ValueError(f"factor shape {b.shape} does not match steering length {y.size}")
+            raise ValidationError("factor",
+                                  f"shape {b.shape} does not match steering length {y.size}")
         kappa, power_bound = float(kappa), float(power_bound)
         if not math.isfinite(kappa):
             raise ValidationError("kappa", f"must be finite, got {kappa!r}")
@@ -242,6 +243,7 @@ class _DualProblem(WaveformProblem):
         on the base bracket, _GOLDEN_RTOL times that bracket wide."""
         lo, hi = super().bracket()
         a, b = lo, hi
+        lows = [a]
         c = b - _GOLDEN * (b - a)
         d = a + _GOLDEN * (b - a)
         fc, fd = self.dual_value(c), self.dual_value(d)
@@ -252,10 +254,12 @@ class _DualProblem(WaveformProblem):
                 fc = self.dual_value(c)
             else:
                 a, c, fc = c, d, fd
+                lows.append(a)
                 d = a + _GOLDEN * (b - a)
                 fd = self.dual_value(d)
-        # rounding on the dual's flat top can move the interval past the root
-        return (a if self.secular(a) > 0.0 else 0.0), b
+        # rounding on the dual's flat top can move the interval past the root:
+        # back off to the last lower end where the secular value is positive
+        return next((x for x in reversed(lows) if self.secular(x) > 0.0), lo), b
 
 
 class _RidgeProblem(WaveformProblem):
@@ -395,7 +399,7 @@ def _solve(problem: WaveformProblem, mode: str) -> WaveformSolution:
     wrapper installed there sees every root solve.
     """
     if mode not in LAMBDA_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {LAMBDA_MODES}")
+        raise ValidationError("mode", f"unknown mode {mode!r}; expected one of {LAMBDA_MODES}")
     multiplier = 0.0
     if mode == "zero":
         s = problem.point(0.0)

@@ -144,6 +144,16 @@ def dense_total_cov(cfg, s):
     return dense_base_cov(cfg) + clutter_cov(build_clutter_operators(cfg), s)
 
 
+def clutter_free_bound(cfg):
+    """kappa^2 / lambda_max(G^H (R_n + R_i)^-1 G), from the dense builders.
+    R_c(s) is PSD, so every w with w^H G s = kappa has w^H R_u(s) w >=
+    kappa^2 / (g^H (R_n + R_i)^-1 g) >= this bound / ||s||^2, g = G s."""
+    t = cfg.target
+    g = _space_time_map(t.azimuth, t.elevation, t.doppler, cfg.M, cfg.N, cfg.L)
+    m = g.conj().T @ np.linalg.solve(dense_base_cov(cfg), g)
+    return cfg.kappa**2 / np.linalg.eigvalsh(0.5 * (m + m.conj().T))[-1]
+
+
 def replays(cfg, trace, prev, curr) -> bool:
     """Whether one iteration of `run` from record prev's waveform, with the
     trace's solver and multiplier mode, gives record curr's w and s bit

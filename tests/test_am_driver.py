@@ -9,7 +9,7 @@ import costap as cs
 from costap import am_driver
 from costap.harness_cli import _trial_waveform
 
-from helpers import dense_base_cov, random_complex, replays
+from helpers import clutter_free_bound, dense_base_cov, random_complex, replays
 
 
 class TestFullObjective:
@@ -331,6 +331,20 @@ class TestRun:
         with pytest.raises(ValueError):
             cs.run(small_cfg, "qcqp", init_waveform=np.ones(5, dtype=complex))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, -np.inf), 0.0])
+    def test_init_waveform_entries_checked(self, small_cfg, monkeypatch, entry):
+        # a non-finite entry, or a start that is exactly zero, is the caller's
+        # error, reported before the bundle is built
+        def no_bundle(cfg):
+            raise AssertionError("bundle built before the start was checked")
+
+        monkeypatch.setattr(am_driver, "build_bundle", no_bundle)
+        s0 = np.full(small_cfg.N, 0.0 if entry == 0.0 else 1.0, dtype=complex)
+        s0[1] = entry
+        with pytest.raises(cs.ValidationError) as err:
+            cs.run(small_cfg, "qcqp", init_waveform=s0)
+        assert err.value.field == "init_waveform"
+
     def test_drift_column_trend(self, small_cfg):
         report = cs.run(small_cfg, "qcqp", max_iter=10)
         drifts = [r.drift for r in report.trace.records[2:]]
@@ -458,19 +472,61 @@ def _joint_scale(cfg, t):
                     clutter={"patch_power": cfg.clutter.patch_power / (t * t)})
 
 
+def _mirror(cfg):
+    """Negate the target's azimuth and Doppler and every interferer's
+    azimuth and phase rate, and mirror the clutter span: every steering
+    vector, so G and R_u, is conjugated."""
+    lo, hi = cfg.clutter.azimuth_span
+    return _variant(cfg, target=dataclasses.replace(cfg.target, azimuth=-cfg.target.azimuth,
+                                                    doppler=-cfg.target.doppler),
+                    interferers=tuple(dataclasses.replace(itf, azimuth=-itf.azimuth,
+                                                          phase_rate=-itf.phase_rate)
+                                      for itf in cfg.interferers),
+                    clutter={"azimuth_span": (-hi, -lo)})
+
+
 SYMMETRY_GEOMETRIES = {"demo": {}, "long-code": {"M": 1, "N": 128, "L": 2, "power": 1e-3}}
 
 
 @pytest.mark.parametrize("solver", cs.SOLVERS)
 @pytest.mark.parametrize("geometry", sorted(SYMMETRY_GEOMETRIES))
 def test_whole_run_symmetries(default_cfg, geometry, solver):
-    # exact symmetries of the problem: a phase e^{i theta} on s0, or the
-    # joint scale t, leaves every objective of a whole run unchanged
+    # exact symmetries of the problem: a phase e^{i theta} on s0, the joint
+    # scale t or the mirror (conj(s0) in the conjugated scenario) leaves every
+    # objective of a whole run unchanged, and the gain kappa -> c kappa scales
+    # each by c^2. Objectives only: mirrored waveforms may differ along the
+    # flat directions of a minimum-norm point
     cfg = _variant(default_cfg, **SYMMETRY_GEOMETRIES[geometry])
     s0 = _trial_waveform(cfg, 11, 0)
     base = cs.run(cfg, solver, init_waveform=s0).trace.objectives()
-    variants = {"phase": (cfg, np.exp(0.7j) * s0),
-                **{f"t={t:g}": (_joint_scale(cfg, t), t * s0) for t in (1e-3, 1e3)}}
-    for name, (cfg_v, s0_v) in variants.items():
-        objs = cs.run(cfg_v, solver, init_waveform=s0_v).trace.objectives()
+    variants = {"phase": (cfg, np.exp(0.7j) * s0, 1.0),
+                "mirror": (_mirror(cfg), s0.conj(), 1.0),
+                **{f"t={t:g}": (_joint_scale(cfg, t), t * s0, 1.0) for t in (1e-3, 1e3)},
+                **{f"c={c:g}": (_variant(cfg, kappa=c * cfg.kappa), s0, c * c)
+                   for c in (1e-6, 1e6)}}
+    for name, (cfg_v, s0_v, gain) in variants.items():
+        objs = cs.run(cfg_v, solver, init_waveform=s0_v).trace.objectives() / gain
         assert np.max(np.abs(objs - base)) <= 1e-9 * np.max(base), name
+
+
+WORKLOAD_GEOMETRIES = {**SYMMETRY_GEOMETRIES, "wide-aperture": {"M": 8, "N": 16, "L": 10},
+                       "dense-clutter": {"clutter": {"patches": 200}}}
+
+
+@pytest.mark.parametrize("geometry", sorted(WORKLOAD_GEOMETRIES))
+def test_objectives_above_the_clutter_free_bound(default_cfg, geometry):
+    # every recorded pair meets w^H G s = kappa, so each objective is at least
+    # the clutter-free bound over the power of the waveform in it: ||s_k||^2
+    # (full), ||s_{k-1}||^2 (half), P_o (rescaled). Smallest measured ratio
+    # of objective to bound: 2.33 (demo, dense-clutter)
+    cfg = _variant(default_cfg, **WORKLOAD_GEOMETRIES[geometry])
+    bound = clutter_free_bound(cfg)
+    s0 = _trial_waveform(cfg, 11, 0)
+    for solver, mode in itertools.product(cs.SOLVERS, ("root", "zero")):
+        records = cs.run(cfg, solver, lambda_mode=mode, rescale=True,
+                         init_waveform=s0).trace.records
+        for prev, rec in zip([records[0], *records], records):
+            where = (solver, mode, rec.iteration)
+            assert rec.full_objective >= bound / rec.power, where
+            assert rec.half_objective >= bound / prev.power, where
+            assert rec.rescaled_objective >= bound / cfg.power, where

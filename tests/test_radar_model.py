@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solveh_banded
 
 import costap as cs
-from costap.radar_model import _kms_matvec, _space_time_map
+from costap.radar_model import (
+    _kms_unwhiten,
+    _kms_whiten,
+    _kms_whiten_adjoint,
+    _space_time_map,
+)
 
 from helpers import (
     build_clutter_operators,
@@ -311,23 +315,37 @@ class TestSpaceTimeCovOracle:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 320])
     @pytest.mark.parametrize("decay", [0.005, 3.0])
-    def test_kms_matvec_is_the_banded_solve_bit_for_bit(self, n, decay):
-        # the factor cached per (rho, n) gives the bits of a fresh banded
-        # solve with the KMS inverse, for vectors and for columns
+    def test_kms_unwhiten_inverts_the_whitener(self, n, decay):
+        # D^-1 (D x) = x and D^-T (D^T y) = y, for vectors and for columns
+        # (1.7e-15 measured)
         rho = math.exp(-decay)
-        s2 = 1.0 - rho * rho
-        if n == 1:
-            ab = np.ones((1, 1))  # R_n = [1]
-        else:
-            ab = np.array([np.full(n, -rho / s2), np.full(n, (1.0 + rho * rho) / s2)])
-            ab[1, [0, -1]] = 1.0 / s2
         rng = np.random.default_rng(13)
         for shape in ((n,), (n, 4)):
             x = random_complex(rng, *shape)
-            for _ in range(2):  # the second call reads the cached factor
-                got = _kms_matvec(rho, x)
+            dx = _kms_whiten(rho, x.T).T  # the whitener acts along the last axis
+            dty = _kms_whiten_adjoint(rho, x)
+            for got in (_kms_unwhiten(rho, dx), _kms_unwhiten(rho, dty, "T")):
                 assert got.shape == x.shape
-                assert np.array_equal(got, solveh_banded(ab, x))
+                assert np.linalg.norm(got - x) <= 1e-14 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("n", [320, 1280])
+    @pytest.mark.parametrize("decay", [0.005, 1e-6, 3.0])
+    def test_noise_quad_against_extended_precision(self, n, decay):
+        # w^H R_n w = ||D^-T w||^2 against the Toeplitz form in long double,
+        # normwise: a backward-stable evaluation errs by eps ||w|| ||R_n w||,
+        # which cancellation in w^H R_n w can leave well above eps times the
+        # form. 1.7e-15 measured (1.3e-13 relative to the form at n = 1280,
+        # decay 1e-6); a solve with the tridiagonal R_n^-1 reads 1.9e-9 there
+        rho = math.exp(-decay)
+        w = random_complex(np.random.default_rng(14), n)
+        lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        toeplitz_ld = np.longdouble(rho) ** lags
+        parts = (w.real.astype(np.longdouble), w.imag.astype(np.longdouble))
+        products = [toeplitz_ld @ part for part in parts]
+        want = sum(part @ product for part, product in zip(parts, products))
+        scale = np.linalg.norm(w) * math.sqrt(sum(product @ product for product in products))
+        got = cs.SpaceTimeCov(rho, np.zeros((n, 0), dtype=complex)).quad(w)
+        assert abs(got - want) <= 1e-14 * scale
 
 
 def _with_clutter(cfg, **changes):

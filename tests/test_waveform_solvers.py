@@ -211,11 +211,14 @@ class TestQcqpSolve:
         with pytest.raises(cs.ZeroSteering):
             cs.qcqp_solve(np.eye(3), np.zeros(3, dtype=complex), 1.0, 1.0)
 
-    def test_factor_must_be_a_matrix_with_n_columns(self):
+    @pytest.mark.parametrize("shape", [(3,), (3, 2), (2, 3, 1)])
+    def test_factor_must_be_a_matrix_with_n_columns(self, shape):
+        with pytest.raises(cs.ValidationError) as err:
+            cs.qcqp_solve(np.ones(shape), np.ones(3, dtype=complex), 1.0, 1.0)
+        assert err.value.field == "factor"
+
+    def test_non_finite_inputs(self):
         y = np.ones(3, dtype=complex)
-        for factor in (np.ones(3), np.ones((3, 2)), np.ones((2, 3, 1))):
-            with pytest.raises(ValueError):
-                cs.qcqp_solve(factor, y, 1.0, 1.0)
         # a non-finite imaginary part alone must be caught too
         for bad in (np.inf, complex(1.0, np.inf), complex(0.0, np.nan)):
             with pytest.raises(cs.NumericalFailure):
@@ -582,8 +585,9 @@ class TestSharedRegime:
 
     def test_unknown_mode(self, route):
         b, y, kappa, capon_power = self.instance(34)
-        with pytest.raises(ValueError):
+        with pytest.raises(cs.ValidationError) as err:
             ROUTES_BY_MODE[route](b, y, kappa, 2.0 * capon_power, "newton")
+        assert err.value.field == "mode"
 
     @pytest.mark.parametrize("field, value", [("kappa", np.nan), ("kappa", np.inf),
                                               ("power_bound", np.nan),
@@ -652,7 +656,9 @@ class TestProblemInterface:
 
     def test_dual_bracket_lies_in_the_base_bracket(self):
         # the golden-section interval narrows the base bracket and keeps a
-        # positive secular value at its lower end, where bisect_root starts
+        # positive secular value at its lower end, where bisect_root starts;
+        # where rounding moved the interval past the root, the lower end backs
+        # off to an earlier golden point, not to the base bracket's 0
         active = 0
         for b, y, p_o, _ in interface_problems(400, 3902):
             base = WaveformProblem._validated(b, y, 1.0, p_o)
@@ -661,7 +667,7 @@ class TestProblemInterface:
             active += 1
             lo, hi = _DualProblem._validated(b, y, 1.0, p_o).bracket()
             base_lo, base_hi = base.bracket()
-            assert base_lo <= lo < hi <= base_hi
+            assert base_lo < lo < hi <= base_hi
             assert base.secular(lo) > 0.0
         assert active >= 100
 
